@@ -177,12 +177,17 @@ def cmd_report(args) -> int:
         print(f"no manifest.json under {run}", file=sys.stderr)
         return 1
     manifest = json.loads(manifest_path.read_text())
-    print(f"config hash {manifest['config_hash']}, seeds {manifest['seeds']}")
-    failed = [c for c in manifest["cells"] if c["failed"]]
+    try:
+        header = f"config hash {manifest['config_hash']}, seeds {manifest['seeds']}"
+        failed = [f"  {c['strategy']} seed {c['seed']}: {c['failure']}"
+                  for c in manifest["cells"] if c["failed"]]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed manifest {manifest_path}: "
+                         f"{type(err).__name__}: {err}") from None
+    print(header)
     if failed:
         print(f"{len(failed)} failed cell(s):")
-        for c in failed:
-            print(f"  {c['strategy']} seed {c['seed']}: {c['failure']}")
+        print("\n".join(failed))
     for name in ("metrics_softmax", "metrics_epistemic", "metrics_aleatoric",
                  "selection_comparison", "mcnemar_vs_baseline"):
         path = run / f"{name}.csv"

@@ -2,7 +2,8 @@
 
 Per (strategy, seed): train once, select the checkpoint under both criteria,
 and evaluate each selected model on the identical test split three ways:
-softmax probabilities, epistemic votes, and aleatoric votes. Reports
+softmax probabilities, epistemic votes, and aleatoric votes. When both
+criteria select the same epoch, that model is evaluated once. Reports
 aggregate mean and (sample) standard deviation over seeds.
 
 All emitted files are pure functions of the config: floats are written with
@@ -112,24 +113,28 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
         cell.failed = True
         cell.failure = history.failure or "no epochs completed"
         return cell
+    # epoch -> (metric rows, softmax records); an epoch that both criteria
+    # select is evaluated once and shared
+    evaluated = {}
     for criterion in CRITERIA:
         entry, params = select_model(history, criterion)
-        model = VaeClassifier(d=config.d, hidden=config.hidden,
-                              latent=config.latent, seed=seed)
-        assert params is not None
-        model.params.load_values(params)
         cell.selected_epoch[criterion] = entry.epoch
-        softmax_records = evaluate_records(model, x_test, g_test)
-        epi = uncertainty_records(model, split, "epistemic", scaler=scaler,
-                                  n=config.n_uncertainty, base_seed=(seed, 3))
-        ale = uncertainty_records(model, split, "aleatoric", scaler=scaler,
-                                  n=config.n_uncertainty, base_seed=(seed, 4))
-        cell.metrics[criterion] = {
-            "softmax": metric_row(softmax_records),
-            "epistemic": metric_row(epi),
-            "aleatoric": metric_row(ale),
-        }
-        cell.test_records[criterion] = softmax_records
+        if entry.epoch not in evaluated:
+            model = VaeClassifier(d=config.d, hidden=config.hidden,
+                                  latent=config.latent, seed=seed)
+            assert params is not None
+            model.params.load_values(params)
+            softmax_records = evaluate_records(model, x_test, g_test)
+            epi = uncertainty_records(model, split, "epistemic", scaler=scaler,
+                                      n=config.n_uncertainty, base_seed=(seed, 3))
+            ale = uncertainty_records(model, split, "aleatoric", scaler=scaler,
+                                      n=config.n_uncertainty, base_seed=(seed, 4))
+            evaluated[entry.epoch] = ({
+                "softmax": metric_row(softmax_records),
+                "epistemic": metric_row(epi),
+                "aleatoric": metric_row(ale),
+            }, softmax_records)
+        cell.metrics[criterion], cell.test_records[criterion] = evaluated[entry.epoch]
     return cell
 
 

@@ -233,15 +233,18 @@ def load_checkpoint(in_dir: str | Path) -> tuple[VaeClassifier, dict]:
     dims = manifest["dims"]
     model = VaeClassifier(d=dims["d"], hidden=dims["hidden"], latent=dims["latent"],
                           seed=manifest["seed"])
-    flat = np.frombuffer((src / "params.bin").read_bytes(), dtype="<f8")
+    shapes = [tuple(manifest["param_shapes"][name]) for name in manifest["param_order"]]
+    expected = sum(int(np.prod(shape)) for shape in shapes)
+    raw = (src / "params.bin").read_bytes()
+    if len(raw) != 8 * expected:
+        raise ValueError(f"parameter blob {src / 'params.bin'} holds {len(raw) / 8:g} "
+                         f"float64 values, manifest declares {expected}")
+    flat = np.frombuffer(raw, dtype="<f8")
     values = {}
     pos = 0
-    for name in manifest["param_order"]:
-        shape = tuple(manifest["param_shapes"][name])
-        size = int(np.prod(shape)) if shape else 1
+    for name, shape in zip(manifest["param_order"], shapes):
+        size = int(np.prod(shape))
         values[name] = flat[pos:pos + size].reshape(shape).copy()
         pos += size
-    if pos != flat.size:
-        raise ValueError(f"parameter blob has {flat.size} values, manifest declares {pos}")
     model.params.load_values(values)
     return model, manifest

@@ -18,6 +18,7 @@ from calibtrain.harness.cli import main
 from calibtrain.harness.grid import grid_search
 from calibtrain.harness.suite import run_suite
 from calibtrain.losses import LossSpec
+from calibtrain.uncertainty import uncertainty_records
 
 TINY = dict(sizes=(80, 40, 40), epochs=2, batch_size=20, seeds=[0],
             n_uncertainty=5)
@@ -287,6 +288,38 @@ def test_suite_records_failure_without_aborting(tmp_path):
     assert flags == {"baseline": False, "mmce": True}
 
 
+def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return uncertainty_records(*args, **kwargs)
+
+    monkeypatch.setattr("calibtrain.harness.suite.uncertainty_records", counting)
+    # at 3 epochs, mmce seed 2 selects different epochs under the two
+    # criteria, and the other cells select one epoch under both
+    cfg = tiny_config(epochs=3, seeds=[0, 2],
+                      suite=[{"strategy": "baseline"}, {"strategy": "mmce"}],
+                      out_dir=str(tmp_path / "run"))
+    result = run_suite(cfg)
+    assert result.ok
+    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    distinct = [len(set(c["selected_epoch"].values())) for c in manifest["cells"]]
+    assert sorted(set(distinct)) == [1, 2]
+    assert len(calls) == 2 * sum(distinct)
+    assert calls.count("epistemic") == calls.count("aleatoric")
+
+    for cell in result.cells:
+        bacc, ece_ = (cell.selected_epoch[c] for c in ("max-val-bacc", "min-val-ece"))
+        if bacc != ece_:
+            continue
+        assert cell.metrics["max-val-bacc"] == cell.metrics["min-val-ece"]
+        shared = zip(cell.test_records["max-val-bacc"], cell.test_records["min-val-ece"])
+        for a, b in shared:
+            assert (a.r, a.predicted, a.g, a.correct) == (b.r, b.predicted, b.g, b.correct)
+            assert np.array_equal(a.probs, b.probs)
+
+
 def test_suite_rerun_byte_identical(tmp_path):
     cfg = tiny_config(seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE],
                       out_dir="run")
@@ -376,6 +409,21 @@ def test_cli_report_and_plot(tmp_path, capsys):
     svg.unlink()
     assert main(["plot", str(run_dir)]) == 0
     assert svg.read_bytes() == before
+
+
+@pytest.mark.parametrize("manifest", [
+    {"seeds": [0], "cells": []},
+    {"config_hash": "abc", "cells": []},
+    {"config_hash": "abc", "seeds": [0]},
+    {"config_hash": "abc", "seeds": [0], "cells": [{"strategy": "baseline"}]},
+    ["not", "an", "object"],
+])
+def test_cli_report_malformed_manifest(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: malformed manifest")
 
 
 def test_cli_bad_inputs(tmp_path, capsys):

@@ -200,6 +200,26 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.predict_probs(x), m.predict_probs(x))
 
 
+@pytest.mark.parametrize("change", [-1, 1])
+def test_checkpoint_blob_size_checked(tmp_path, change):
+    m = VaeClassifier(d=3, hidden=4, latent=2, seed=0)
+    save_checkpoint(m, tmp_path, epoch=1)
+    expected = sum(node.value.size for _, node in m.params.items())
+    blob = tmp_path / "params.bin"
+    raw = blob.read_bytes()
+    blob.write_bytes(raw[:change * 8] if change < 0 else raw + bytes(8 * change))
+    with pytest.raises(ValueError, match=rf"holds {expected + change} .* declares {expected}$"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_partial_value_rejected(tmp_path):
+    save_checkpoint(VaeClassifier(d=3, hidden=4, latent=2, seed=0), tmp_path, epoch=1)
+    blob = tmp_path / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-3])
+    with pytest.raises(ValueError, match="parameter blob"):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_rewrite_byte_identical(tmp_path):
     m = VaeClassifier(d=3, hidden=4, latent=2, seed=0)
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from calibtrain.data import FeatureScaler, Sample, generate_gaussian_mixture
+from calibtrain.data import FeatureScaler, Sample, features, generate_gaussian_mixture, perturb
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
+    VOTE_CHUNK,
     UncertaintyEstimate,
     aleatoric,
     epistemic,
@@ -177,6 +178,70 @@ def test_uncertainty_records_full_split():
     assert len(ale) == 25  # sigma defaulted from the split's separation
     with pytest.raises(ValueError):
         uncertainty_records(m, split, "dropout")
+
+
+# -- chunked records against per-sample loops ---------------------------------------
+
+def per_sample_records(model, split, kind, scaler, n, sigma, base_seed):
+    """The single-sample estimators, one substream per test sample."""
+    records = []
+    for i, sample in enumerate(split.test):
+        rng = np.random.default_rng(base_seed + (i,))
+        if kind == "epistemic":
+            x = sample.x if scaler is None else scaler.transform(sample.x[None, :])[0]
+            est = epistemic(model, x, n=n, rng=rng)
+        else:
+            est = aleatoric(model, sample, n=n, sigma=sigma, rng=rng, scaler=scaler)
+        records.append(record_from_votes(est, sample.g))
+    return records
+
+
+def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
+    """Positive-vote shares from one forward pass per sample, sharing no code
+    with the vote kernel: latent draws of shape (n - 1, latent), and n - 1
+    separate ``perturb`` calls for the noisy inputs."""
+    shares = []
+    for i, sample in enumerate(split.test):
+        rng = np.random.default_rng(base_seed + (i,))
+        if kind == "epistemic":
+            x = sample.x[None, :] if scaler is None else scaler.transform(sample.x[None, :])
+            mu, lv = model.encode_values(x)
+            z = [mu]
+            if n > 1:
+                z.append(mu + np.exp(lv / 2.0) * rng.standard_normal((n - 1, mu.shape[1])))
+            votes = [np.argmax(model.classify_values(zi), axis=1) for zi in z]
+        else:
+            rows = [sample.x] + [perturb(sample, sigma, rng).x for _ in range(n - 1)]
+            xs = np.stack(rows) if scaler is None else scaler.transform(np.stack(rows))
+            votes = [np.argmax(model.predict_probs(xs), axis=1)]
+        shares.append(float(np.concatenate(votes).mean()))
+    return shares
+
+
+@pytest.mark.parametrize("kind,sigma", [("epistemic", None), ("aleatoric", 0.0),
+                                        ("aleatoric", 0.7)])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
+    split = generate_gaussian_mixture(sizes=(30, 10, 2 * VOTE_CHUNK + 44), d=2,
+                                      separation=1.0, seed=5)
+    assert len(split.test) % VOTE_CHUNK != 0
+    m = sign_model()
+    m.params["enc.b_lv"].value[:] = -1.0   # latent spread that splits some votes
+    scaler = FeatureScaler().fit(features(split.train)) if scaled else None
+    base = (9, 2)
+    got = uncertainty_records(m, split, kind, scaler=scaler, n=n, sigma=sigma,
+                              base_seed=base)
+    sigma = 0.1 * split.params["separation"] if sigma is None else sigma
+    want = per_sample_records(m, split, kind, scaler, n, sigma, base)
+    assert len(got) == len(want) == len(split.test)
+    for a, b in zip(got, want):
+        assert (a.r, a.predicted, a.g, a.correct) == (b.r, b.predicted, b.g, b.correct)
+        assert np.array_equal(a.probs, b.probs)
+    shares = [r.probs[1] for r in got]
+    assert shares == unbatched_vote_shares(m, split, kind, scaler, n, sigma, base)
+    if n > 1 and sigma > 0:
+        assert any(0.0 < c < 1.0 for c in shares)   # the draws reached the votes
 
 
 # -- batch path --------------------------------------------------------------------
