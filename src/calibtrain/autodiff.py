@@ -2,11 +2,16 @@
 
 Nodes form an acyclic computation graph; ``backward`` walks it once in
 reverse topological order and accumulates gradients into every reachable
-leaf. Only the operations needed by the training losses are provided:
-matmul, broadcast add/mul/div, relu (max with zero), sigmoid, tanh, exp,
-floored log, row softmax, sum/mean, absolute value, scalar power and
-transpose. Everything is float64 and single-threaded, so identical seeds
-give bitwise-identical trajectories.
+node that depends on a trainable leaf. Constants, and subgraphs built from
+constants alone, get no gradient and are not visited. Only the operations
+needed by the training losses are provided: matmul, broadcast add/mul/div,
+relu (max with zero), sigmoid, tanh, exp, floored log, row softmax,
+sum/mean, absolute value, scalar power and transpose. Everything is float64
+and single-threaded, so identical seeds give bitwise-identical trajectories.
+
+Trainable values live in a :class:`ParamSet`: one contiguous float64 buffer
+with a named view per parameter, and a gradient buffer of the same layout,
+so :class:`Adam` updates every parameter with a handful of vector ops.
 """
 
 from __future__ import annotations
@@ -34,24 +39,41 @@ def _as_array(x) -> np.ndarray:
 class Node:
     """One value in the computation graph.
 
-    ``value`` and ``grad`` always have the same shape. ``parents`` holds the
-    input nodes and ``_vjps`` the matching vector-Jacobian closures used by
-    ``backward``. Leaves created via :func:`param` participate in gradient
-    accumulation; leaves from :func:`constant` are carried along untouched.
+    ``parents`` holds the input nodes and ``_vjps`` the matching
+    vector-Jacobian closures used by ``backward``. A closure returns the
+    parent's gradient contribution, or None when it has written that
+    contribution itself (fused layers write into a parameter buffer).
+    ``requires_grad`` marks trainable leaves and every node computed from
+    one; ``backward`` skips the rest. ``grad`` has the shape of ``value``:
+    it is allocated when the first contribution arrives and reads as zeros
+    before then.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_vjps", "requires_grad",
+    __slots__ = ("value", "_grad", "op", "parents", "_vjps", "requires_grad",
                  "_backward_done")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (),
-                 vjps: tuple = (), requires_grad: bool = False):
+                 vjps: tuple = (), requires_grad: bool | None = None):
         self.value = _as_array(value)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
         self.op = op
         self.parents = parents
         self._vjps = vjps
+        if requires_grad is None:
+            requires_grad = False
+            for parent in parents:
+                if parent.requires_grad:
+                    requires_grad = True
+                    break
         self.requires_grad = requires_grad
         self._backward_done = False
+
+    @property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self.value) if self._grad is None else self._grad
+
+    def _accumulate(self, contribution: np.ndarray) -> None:
+        self._grad = contribution if self._grad is None else self._grad + contribution
 
     @property
     def shape(self):
@@ -126,6 +148,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _check_broadcast(a: Node, b: Node, opname: str):
+    if a.value.shape == b.value.shape:
+        return
     try:
         np.broadcast_shapes(a.value.shape, b.value.shape)
     except ValueError:
@@ -274,22 +298,25 @@ def softmax(a: Node) -> Node:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _spread(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """A new array of ``shape`` holding ``g`` broadcast over it."""
+    out = np.empty(shape)
+    out[...] = g
+    return out
+
+
 def nsum(a: Node, axis: int | None = None) -> Node:
     """Sum to a scalar, or along axis 0/1 with keepdims."""
-    if axis is None:
-        out = a.value.sum()
-        return Node(out, op="sum", parents=(a,),
-                    vjps=(lambda g: np.broadcast_to(g, a.value.shape).copy(),))
-    out = a.value.sum(axis=axis, keepdims=True)
+    out = a.value.sum() if axis is None else a.value.sum(axis=axis, keepdims=True)
     return Node(out, op="sum", parents=(a,),
-                vjps=(lambda g: np.broadcast_to(g, a.value.shape).copy(),))
+                vjps=(lambda g: _spread(g, a.value.shape),))
 
 
 def mean(a: Node) -> Node:
     n = a.value.size
     out = a.value.mean()
     return Node(out, op="mean", parents=(a,),
-                vjps=(lambda g: np.broadcast_to(g / n, a.value.shape).copy(),))
+                vjps=(lambda g: _spread(g / n, a.value.shape),))
 
 
 def maximum(a: Node, b: Node) -> Node:
@@ -307,62 +334,141 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
 # ---------------------------------------------------------------------------
 
 def _topo_order(root: Node) -> list[Node]:
+    """Nodes that require a gradient, parents before children."""
     order: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()      # nodes hash by identity
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and parent not in seen:
                 stack.append((parent, False))
     return order
 
 
 def backward(loss: Node) -> None:
-    """Populate ``grad`` on every node reachable from ``loss``.
+    """Accumulate ``grad`` on every node reachable from ``loss`` that
+    requires one.
 
     ``loss`` must be scalar. A second call on the same node is rejected;
-    rebuild the graph (or reset gradients) between steps instead.
+    rebuild the graph (or reset gradients) between steps instead. A node
+    with several children sums their contributions in reverse topological
+    order, so a graph of the same shape always rounds the same way.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
     if loss._backward_done:
         raise RuntimeError("backward already called on this node; rebuild the graph")
     loss._backward_done = True
+    if not loss.requires_grad:
+        return
 
     order = _topo_order(loss)
-    loss.grad = np.ones_like(loss.value)
+    loss._grad = np.ones_like(loss.value)
     for node in reversed(order):
-        g = node.grad
+        g = node._grad
+        if g is None:
+            continue
         for parent, vjp in zip(node.parents, node._vjps):
-            parent.grad = parent.grad + vjp(g)
+            if parent.requires_grad:
+                contribution = vjp(g)
+                if contribution is not None:
+                    parent._accumulate(contribution)
 
 
 # ---------------------------------------------------------------------------
 # parameters and the optimiser
 # ---------------------------------------------------------------------------
 
+class Param(Node):
+    """A trainable leaf whose ``value`` and ``grad`` are views into its
+    :class:`ParamSet`'s buffers. In-place writes to either reach the
+    buffer; assigning either copies into the view."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: np.ndarray, grad: np.ndarray):
+        self._value = value
+        self._grad = grad
+        self.op = "param"
+        self.parents = ()
+        self._vjps = ()
+        self.requires_grad = True
+        self._backward_done = False
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, new) -> None:
+        self._value[...] = _conforming(new, self._value.shape, "value")
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad
+
+    @grad.setter
+    def grad(self, new) -> None:
+        self._grad[...] = _conforming(new, self._grad.shape, "grad")
+
+    def _accumulate(self, contribution: np.ndarray) -> None:
+        np.add(self._grad, contribution, out=self._grad)
+
+
+def _conforming(new, shape: tuple, what: str) -> np.ndarray:
+    new = _as_array(new)
+    if new.shape != shape:
+        raise ShapeMismatch(f"parameter {what} of shape {new.shape} for a parameter "
+                            f"of shape {shape}")
+    return new
+
+
 class ParamSet:
-    """Named trainable matrices with deterministic iteration order."""
+    """Named trainable arrays with deterministic iteration order.
+
+    Values live in one contiguous float64 buffer, ``flat``, in insertion
+    order; gradients in ``grad``, with the same layout. ``node`` is a graph
+    leaf standing for the whole set: a fused layer names it as a parent and
+    writes its parameter gradients straight into ``grad``. Adding a
+    parameter reallocates both buffers, so build the optimiser last.
+    """
 
     def __init__(self):
-        self._params: dict[str, Node] = {}
+        self._params: dict[str, Param] = {}
+        self._slices: dict[str, slice] = {}
+        self._shapes: dict[str, tuple] = {}
+        self.flat = np.zeros(0)
+        self.grad = np.zeros(0)
+        self.node = Node(self.flat, op="params", requires_grad=True)
 
-    def add(self, name: str, value) -> Node:
+    def add(self, name: str, value) -> Param:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        node = param(value)
-        self._params[name] = node
-        return node
+        value = _as_array(value)
+        start = self.flat.size
+        self._slices[name] = slice(start, start + value.size)
+        self._shapes[name] = value.shape
+        self.flat = np.concatenate([self.flat, value.ravel()])
+        self.grad = np.concatenate([self.grad, np.zeros(value.size)])
+        self.node = Node(self.flat, op="params", requires_grad=True)
+        for key, span in self._slices.items():
+            shape = self._shapes[key]
+            views = self.flat[span].reshape(shape), self.grad[span].reshape(shape)
+            if key in self._params:
+                self._params[key]._value, self._params[key]._grad = views
+            else:
+                self._params[key] = Param(*views)
+        return self._params[name]
 
-    def __getitem__(self, name: str) -> Node:
+    def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -374,15 +480,20 @@ class ParamSet:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def items(self) -> Iterator[tuple[str, Node]]:
+    def items(self) -> Iterator[tuple[str, Param]]:
         return iter(self._params.items())
 
+    def slices(self) -> Iterator[tuple[str, slice]]:
+        """Each parameter's span of ``flat`` and ``grad``."""
+        return iter(self._slices.items())
+
     def zero_grad(self) -> None:
-        for node in self._params.values():
-            node.grad = np.zeros_like(node.value)
+        self.grad.fill(0.0)
 
     def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: v.value.copy() for k, v in self._params.items()}
+        """A snapshot: views into one copy of the value buffer."""
+        flat = self.flat.copy()
+        return {k: flat[span].reshape(self._shapes[k]) for k, span in self._slices.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for k, node in self._params.items():
@@ -391,8 +502,8 @@ class ParamSet:
                 raise ShapeMismatch(
                     f"parameter {k!r}: stored shape {src.shape} vs model shape {node.value.shape}"
                 )
-            node.value = src.copy()
-            node.grad = np.zeros_like(node.value)
+            node.value[...] = src
+        self.zero_grad()
 
 
 class Adam:
@@ -400,6 +511,9 @@ class Adam:
 
     ``lr_overrides`` maps parameter-name prefixes to rates; the longest
     matching prefix wins, so heads of one model can train at different speeds.
+    The moments and the per-element rates span the whole parameter buffer,
+    and every operation is elementwise, so one vector update gives the same
+    bits as updating each parameter on its own.
     """
 
     def __init__(self, params: ParamSet, lr: float = 1e-3,
@@ -412,8 +526,11 @@ class Adam:
         self.eps = eps
         self.lr_overrides = dict(lr_overrides or {})
         self.t = 0
-        self._m = {k: np.zeros_like(v.value) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v.value) for k, v in params.items()}
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
+        self._rates = np.empty_like(params.flat)
+        for name, span in params.slices():
+            self._rates[span] = self._rate(name)
 
     def _rate(self, name: str) -> float:
         best, rate = -1, self.lr
@@ -423,17 +540,21 @@ class Adam:
         return rate
 
     def step(self) -> None:
-        for name, node in self.params.items():
-            if not np.all(np.isfinite(node.grad)):
-                raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
+        g = self.params.grad
+        finite = np.isfinite(g)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            name = next(k for k, span in self.params.slices() if span.start <= bad < span.stop)
+            raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, node in self.params.items():
-            g = node.grad
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            node.value = node.value - self._rate(name) * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        self.params.flat -= self._rates * m_hat / (np.sqrt(v_hat) + self.eps)
         self.params.zero_grad()

@@ -33,7 +33,7 @@ class PredictionRecord:
 
 def records_from_probs(probs: np.ndarray, labels: np.ndarray) -> list[PredictionRecord]:
     """Build records from an (n, 2) probability array; ties predict class 0."""
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.array(probs, dtype=np.float64)   # a copy: records hold its rows
     labels = np.asarray(labels)
     if probs.ndim != 2 or probs.shape[1] != 2:
         raise ValueError(f"expected probs of shape (n, 2), got {probs.shape}")
@@ -41,15 +41,13 @@ def records_from_probs(probs: np.ndarray, labels: np.ndarray) -> list[Prediction
         raise ValueError(f"{probs.shape[0]} probability rows but {labels.shape[0]} labels")
     if probs.min() < 0 or not np.allclose(probs.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("probability rows must be nonnegative and sum to 1")
-    out = []
-    for i in range(probs.shape[0]):
-        g = int(labels[i])
-        if g not in (0, 1):
-            raise ValueError(f"labels must be 0 or 1, got {labels[i]!r}")
-        pred = int(np.argmax(probs[i]))
-        out.append(PredictionRecord(probs=probs[i].copy(), r=float(probs[i].max()),
-                                    predicted=pred, g=g, correct=pred == g))
-    return out
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        raise ValueError(f"labels must be 0 or 1, got {labels[np.argmax(bad)]!r}")
+    predicted = np.argmax(probs, axis=1).tolist()
+    return [PredictionRecord(probs=row, r=r, predicted=pred, g=g, correct=pred == g)
+            for row, r, pred, g in zip(probs, probs.max(axis=1).tolist(), predicted,
+                                       labels.astype(np.int64).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,26 @@ uncertainty estimation.
 Class probability columns follow the label encoding: column 0 is P(g=0),
 column 1 is P(g=1), so probs[:, g] reads off the true-class probability and
 argmax over columns is the predicted label.
+
+The layers are plain numpy, and each layer's forward arithmetic exists once:
+training (``forward``) and evaluation (``predict_probs``, ``encode_values``,
+``classify_values``) call the same functions. ``forward`` keeps the
+activations the backward pass needs and returns autodiff nodes for the loss
+head to build on, one fused node per layer: encoder hidden, mu, logvar,
+latent sample, decoder and classifier. Each has a hand-written backward pass
+that writes its parameter gradients straight into the flat gradient buffer.
+The backward passes repeat, operand for operand, what an autodiff graph with
+one node per matmul, bias add and nonlinearity would compute, and the
+fusion keeps the points where cotangents meet (mu, logvar, the hidden layer,
+z) as graph nodes, so the engine sums them in the same order as that graph.
+The gradients are therefore bitwise those of the op-by-op graph, which the
+tests keep as the reference.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,19 +37,15 @@ import numpy as np
 
 from .autodiff import (
     Node,
+    Param,
     ParamSet,
     _sigmoid_values,
     _softmax_values,
-    backward,
-    clamp,
     constant,
     exp,
     log,
     mean,
     nsum,
-    sigmoid,
-    softmax,
-    tanh,
 )
 
 LOGVAR_MIN = -10.0
@@ -46,7 +57,7 @@ class NonFiniteActivation(RuntimeError):
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonFiniteActivation(f"non-finite values in layer {name!r}")
 
 
@@ -57,6 +68,60 @@ class ForwardResult:
     logvar_z: Node
     z: Node
     probs: Node
+
+
+# ---------------------------------------------------------------------------
+# layers: forward arithmetic and hand-written backward passes
+# ---------------------------------------------------------------------------
+
+def _affine(a: np.ndarray, w: Param, b: Param) -> np.ndarray:
+    return a @ w.value + b.value
+
+
+def _tanh_affine(a: np.ndarray, w: Param, b: Param, name: str) -> np.ndarray:
+    h = np.tanh(_affine(a, w, b))
+    _check_finite(name, h)
+    return h
+
+
+def _clamp_logvar(raw: np.ndarray) -> np.ndarray:
+    """Piecewise-linear clamp to [LOGVAR_MIN, LOGVAR_MAX], unit slope inside."""
+    return (LOGVAR_MIN + np.maximum(raw - LOGVAR_MIN, 0.0)
+            - np.maximum(raw - LOGVAR_MAX, 0.0))
+
+
+def _affine_backward(g: np.ndarray, a: np.ndarray, w: Param, b: Param,
+                     to_input: bool = True) -> np.ndarray | None:
+    """Accumulate the gradients of ``a @ w + b``; return the input's cotangent."""
+    b._accumulate(g.sum(axis=0))
+    w._accumulate(a.T @ g)
+    return g @ w.value.T if to_input else None
+
+
+def _tanh_backward(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return g * (1.0 - t * t)
+
+
+def _layer_node(op: str, value: np.ndarray, params: ParamSet, inp: Node | None,
+                backward) -> Node:
+    """Graph node for one fused layer reading ``inp`` (None for the input
+    features, which get no node). ``backward(g)`` accumulates the layer's
+    parameter gradients and returns the cotangent of ``inp``; it runs once,
+    at whichever of the node's two edges ``backward`` walks first."""
+    done = []
+
+    def run(g):
+        if not done:
+            done.append(backward(g))
+        return done[0]
+
+    def to_params(g):
+        run(g)
+        return None
+
+    if inp is None:
+        return Node(value, op=op, parents=(params.node,), vjps=(to_params,))
+    return Node(value, op=op, parents=(inp, params.node), vjps=(run, to_params))
 
 
 class VaeClassifier:
@@ -97,86 +162,94 @@ class VaeClassifier:
         p.add("clf.b2", np.zeros(2))
         self.params = p
 
-    # -- graph path (training) ------------------------------------------
+    # -- layer stacks -------------------------------------------------------
 
-    def encode(self, x: Node) -> tuple[Node, Node]:
+    def _encode(self, x: np.ndarray):
+        """Hidden layer, mu, and logvar before and after the clamp."""
         p = self.params
-        h = tanh(x @ p["enc.w1"] + p["enc.b1"])
-        _check_finite("enc.hidden", h.value)
-        mu = h @ p["enc.w_mu"] + p["enc.b_mu"]
-        _check_finite("enc.mu", mu.value)
-        lv = clamp(h @ p["enc.w_lv"] + p["enc.b_lv"], LOGVAR_MIN, LOGVAR_MAX)
-        _check_finite("enc.logvar", lv.value)
-        return mu, lv
+        h = _tanh_affine(x, p["enc.w1"], p["enc.b1"], "enc.hidden")
+        mu = _affine(h, p["enc.w_mu"], p["enc.b_mu"])
+        _check_finite("enc.mu", mu)
+        raw = _affine(h, p["enc.w_lv"], p["enc.b_lv"])
+        lv = _clamp_logvar(raw)
+        _check_finite("enc.logvar", lv)
+        return h, mu, raw, lv
 
-    def decode(self, z: Node) -> Node:
+    def _decode(self, z: np.ndarray):
         p = self.params
-        h = tanh(z @ p["dec.w1"] + p["dec.b1"])
-        _check_finite("dec.hidden", h.value)
-        xhat = sigmoid(h @ p["dec.w2"] + p["dec.b2"])
-        _check_finite("dec.out", xhat.value)
-        return xhat
+        h = _tanh_affine(z, p["dec.w1"], p["dec.b1"], "dec.hidden")
+        xhat = _sigmoid_values(_affine(h, p["dec.w2"], p["dec.b2"]))
+        _check_finite("dec.out", xhat)
+        return h, xhat
 
-    def classify(self, z: Node) -> Node:
+    def _classify(self, z: np.ndarray):
         p = self.params
-        h = tanh(z @ p["clf.w1"] + p["clf.b1"])
-        _check_finite("clf.hidden", h.value)
-        probs = softmax(h @ p["clf.w2"] + p["clf.b2"])
-        _check_finite("clf.out", probs.value)
-        return probs
+        h = _tanh_affine(z, p["clf.w1"], p["clf.b1"], "clf.hidden")
+        probs = _softmax_values(_affine(h, p["clf.w2"], p["clf.b2"]))
+        _check_finite("clf.out", probs)
+        return h, probs
+
+    # -- training -----------------------------------------------------------
 
     def forward(self, x: np.ndarray, rng: np.random.Generator | None = None,
                 sample_latent: bool = False) -> ForwardResult:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ValueError(f"expected input of shape (n, {self.d}), got {x.shape}")
-        xn = constant(x)
-        mu, lv = self.encode(xn)
-        if sample_latent:
-            if rng is None:
-                raise ValueError("sample_latent=True requires an rng")
-            eps = constant(rng.standard_normal(mu.value.shape))
-            z = mu + exp(lv * 0.5) * eps
-        else:
-            z = mu
-        xhat = self.decode(z)
-        probs = self.classify(z)
-        return ForwardResult(xhat=xhat, mu_z=mu, logvar_z=lv, z=z, probs=probs)
+        if sample_latent and rng is None:
+            raise ValueError("sample_latent=True requires an rng")
+        p = self.params
 
-    # -- numpy path (evaluation / sampling) ------------------------------
-    # Mirrors the graph expressions op for op so values agree bitwise.
+        h, mu, raw, lv = self._encode(x)
+        h_node = _layer_node("enc.hidden", h, p, None, lambda g: _affine_backward(
+            _tanh_backward(g, h), x, p["enc.w1"], p["enc.b1"], to_input=False))
+        mu_node = _layer_node("enc.mu", mu, p, h_node, lambda g: _affine_backward(
+            g, h, p["enc.w_mu"], p["enc.b_mu"]))
+        # raw > bound has the sign of raw - bound: the difference is exact
+        # near the bound (Sterbenz), so these are the clamp's relu masks
+        above_min, above_max = raw > LOGVAR_MIN, raw > LOGVAR_MAX
+        lv_node = _layer_node("enc.logvar", lv, p, h_node, lambda g: _affine_backward(
+            g * above_min + (-g) * above_max, h, p["enc.w_lv"], p["enc.b_lv"]))
+
+        if sample_latent:
+            eps = rng.standard_normal(mu.shape)
+            sigma = np.exp(lv * 0.5)
+            z = mu + sigma * eps
+            z_node = Node(z, op="latent", parents=(mu_node, lv_node),
+                          vjps=(lambda g: g, lambda g: g * eps * sigma * 0.5))
+        else:
+            z, z_node = mu, mu_node
+
+        hd, xhat = self._decode(z)
+
+        def decoder_backward(g):
+            g_hd = _affine_backward(g * xhat * (1.0 - xhat), hd, p["dec.w2"], p["dec.b2"])
+            return _affine_backward(_tanh_backward(g_hd, hd), z, p["dec.w1"], p["dec.b1"])
+
+        hc, probs = self._classify(z)
+
+        def classifier_backward(g):
+            dot = (g * probs).sum(axis=-1, keepdims=True)
+            g_hc = _affine_backward(probs * (g - dot), hc, p["clf.w2"], p["clf.b2"])
+            return _affine_backward(_tanh_backward(g_hc, hc), z, p["clf.w1"], p["clf.b1"])
+
+        return ForwardResult(
+            xhat=_layer_node("decoder", xhat, p, z_node, decoder_backward),
+            mu_z=mu_node, logvar_z=lv_node, z=z_node,
+            probs=_layer_node("classifier", probs, p, z_node, classifier_backward))
+
+    # -- evaluation / sampling ----------------------------------------------
 
     def encode_values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = self.params
-        h = np.tanh(x @ p["enc.w1"].value + p["enc.b1"].value)
-        _check_finite("enc.hidden", h)
-        mu = h @ p["enc.w_mu"].value + p["enc.b_mu"].value
-        raw = h @ p["enc.w_lv"].value + p["enc.b_lv"].value
-        lv = (LOGVAR_MIN + np.maximum(raw - LOGVAR_MIN, 0.0)
-              - np.maximum(raw - LOGVAR_MAX, 0.0))
-        _check_finite("enc.logvar", lv)
+        _, mu, _, lv = self._encode(x)
         return mu, lv
 
     def classify_values(self, z: np.ndarray) -> np.ndarray:
-        p = self.params
-        h = np.tanh(z @ p["clf.w1"].value + p["clf.b1"].value)
-        _check_finite("clf.hidden", h)
-        probs = _softmax_values(h @ p["clf.w2"].value + p["clf.b2"].value)
-        _check_finite("clf.out", probs)
-        return probs
-
-    def decode_values(self, z: np.ndarray) -> np.ndarray:
-        p = self.params
-        h = np.tanh(z @ p["dec.w1"].value + p["dec.b1"].value)
-        _check_finite("dec.hidden", h)
-        xhat = _sigmoid_values(h @ p["dec.w2"].value + p["dec.b2"].value)
-        _check_finite("dec.out", xhat)
-        return xhat
+        return self._classify(z)[1]
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Deterministic class probabilities (z = mu), shape (n, 2)."""
-        x = np.asarray(x, dtype=np.float64)
-        mu, _ = self.encode_values(x)
+        mu, _ = self.encode_values(np.asarray(x, dtype=np.float64))
         return self.classify_values(mu)
 
 
@@ -208,6 +281,21 @@ def kl_loss(mu: Node, logvar: Node) -> Node:
 # checkpoints: JSON manifest + little-endian float64 blob
 # ---------------------------------------------------------------------------
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` beside ``path``, flush it to disk, then rename it into
+    place, so a crash leaves the old file or the new one, never a mix."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(model: VaeClassifier, out_dir: str | Path, epoch: int,
                     extra: dict | None = None) -> None:
     out = Path(out_dir)
@@ -222,9 +310,11 @@ def save_checkpoint(model: VaeClassifier, out_dir: str | Path, epoch: int,
     }
     if extra:
         manifest["extra"] = extra
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    blob = np.concatenate([model.params[n].value.ravel() for n in order])
-    (out / "params.bin").write_bytes(blob.astype("<f8").tobytes())
+    # the blob is the parameter buffer itself, in param_order; it goes first,
+    # so a manifest never describes a blob that is not yet in place
+    _write_atomic(out / "params.bin", model.params.flat.astype("<f8").tobytes())
+    _write_atomic(out / "manifest.json",
+                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_checkpoint(in_dir: str | Path) -> tuple[VaeClassifier, dict]:

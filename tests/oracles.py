@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately naive (plain loops, no code shared with the
-package) so it can serve as an oracle for the real implementations.
+package) so it can serve as an oracle for the real implementations. The one
+exception is the graph-built VAE at the end, which composes the package's
+autodiff ops, whose gradients the op-level tests check on their own.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from calibtrain import autodiff as ad
+from calibtrain.model import LOGVAR_MAX, LOGVAR_MIN, ForwardResult
 
 FD_STEP = 1e-5
 
@@ -207,3 +212,41 @@ def brute_soft_ece(rs, corrects, n_bins, temperature, order) -> float:
         r_bar = conf_num / (mass + 1e-12)
         total += (mass / n) * abs(a - r_bar) ** order
     return total ** (1.0 / order)
+
+
+# ---------------------------------------------------------------------------
+# the VAE built op by op as an autodiff graph
+# ---------------------------------------------------------------------------
+# The model used to train through this graph: one node per matmul, bias add,
+# nonlinearity and clamp step. It is the reference that the fused layers of
+# calibtrain.model, with their hand-written backward passes, must match
+# bitwise, forward values and parameter gradients alike. The parameter nodes
+# are the model's own, so ``backward`` fills the model's gradient buffer.
+
+def _graph_encode(params, x):
+    h = ad.tanh(x @ params["enc.w1"] + params["enc.b1"])
+    mu = h @ params["enc.w_mu"] + params["enc.b_mu"]
+    lv = ad.clamp(h @ params["enc.w_lv"] + params["enc.b_lv"], LOGVAR_MIN, LOGVAR_MAX)
+    return mu, lv
+
+
+def _graph_decode(params, z):
+    h = ad.tanh(z @ params["dec.w1"] + params["dec.b1"])
+    return ad.sigmoid(h @ params["dec.w2"] + params["dec.b2"])
+
+
+def _graph_classify(params, z):
+    h = ad.tanh(z @ params["clf.w1"] + params["clf.b1"])
+    return ad.softmax(h @ params["clf.w2"] + params["clf.b2"])
+
+
+def graph_vae_forward(model, x, rng=None, sample_latent=False):
+    """``model.forward`` as one autodiff node per operation."""
+    mu, lv = _graph_encode(model.params, ad.constant(np.asarray(x, dtype=np.float64)))
+    if sample_latent:
+        eps = ad.constant(rng.standard_normal(mu.value.shape))
+        z = mu + ad.exp(lv * 0.5) * eps
+    else:
+        z = mu
+    return ForwardResult(xhat=_graph_decode(model.params, z), mu_z=mu, logvar_z=lv,
+                         z=z, probs=_graph_classify(model.params, z))

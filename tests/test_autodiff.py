@@ -173,13 +173,19 @@ class TestAdam:
             prev = float(w.value)
 
     def test_non_finite_gradient_names_parameter(self):
-        ps = ad.ParamSet()
-        ps.add("enc.w1", np.ones(2))
-        ps["enc.w1"].grad = np.array([np.nan, 1.0])
-        opt = ad.Adam(ps)
-        with pytest.raises(ad.NonFiniteGradient) as err:
-            opt.step()
-        assert "enc.w1" in str(err.value)
+        for name in ("enc.w1", "enc.b1", "clf.w2"):
+            ps = ad.ParamSet()
+            ps.add("enc.w1", np.ones(2))
+            ps.add("enc.b1", np.ones(3))
+            ps.add("clf.w2", np.ones((2, 2)))
+            opt = ad.Adam(ps)
+            bad = np.ones(ps[name].value.shape)
+            bad.flat[-1] = np.nan if name != "enc.b1" else -np.inf
+            ps[name].grad = bad
+            with pytest.raises(ad.NonFiniteGradient) as err:
+                opt.step()
+            assert str(err.value) == f"non-finite gradient in parameter {name!r}"
+            assert np.array_equal(ps.flat, np.ones(9))   # nothing was updated
 
     def test_lr_overrides_longest_prefix_wins(self):
         ps = ad.ParamSet()
@@ -191,6 +197,27 @@ class TestAdam:
         opt.step()
         assert abs(float(a.value) + 0.1 / (1 + 1e-8)) < 1e-15
         assert abs(float(b.value) + 0.01 / (1 + 1e-8)) < 1e-15
+
+
+def test_paramset_views_share_one_buffer():
+    ps = ad.ParamSet()
+    a = ps.add("a", np.array([1.0, 2.0]))
+    b = ps.add("b", np.array([[3.0], [4.0]]))   # reallocates; a is rebound
+    c = ps.add("c", np.array(5.0))
+    assert np.array_equal(ps.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
+    a.value[1] = 20.0
+    b.value = np.array([[30.0], [40.0]])
+    c.grad = np.array(7.0)
+    assert np.array_equal(ps.flat, [1.0, 20.0, 30.0, 40.0, 5.0])
+    assert np.array_equal(ps.grad, [0.0, 0.0, 0.0, 0.0, 7.0])
+    with pytest.raises(ad.ShapeMismatch):
+        b.value = np.zeros(2)
+    snapshot = ps.copy_values()
+    a.value[0] = -1.0
+    assert snapshot["a"][0] == 1.0
+    ps.load_values(snapshot)
+    assert np.array_equal(ps.flat, [1.0, 20.0, 30.0, 40.0, 5.0])
+    assert not ps.grad.any()
 
 
 def test_paramset_rejects_duplicate_names():

@@ -52,13 +52,18 @@ def random_records(rng, n):
 # -- record construction ----------------------------------------------------
 
 def test_record_fields_and_invariants():
-    probs = np.array([[0.3, 0.7], [0.9, 0.1], [0.5, 0.5]])
-    recs = records_from_probs(probs, np.array([1, 1, 0]))
-    assert [r.predicted for r in recs] == [1, 0, 0]  # tie goes to class 0
-    assert [r.correct for r in recs] == [True, False, True]
-    for r in recs:
-        assert 0.5 <= r.r <= 1.0
-        assert r.correct == (r.predicted == r.g)
+    probs = np.array([[0.3, 0.7], [0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
+    recs = records_from_probs(probs, np.array([1, 1, 0, 1]))
+    assert [r.predicted for r in recs] == [1, 0, 0, 0]  # ties go to class 0
+    assert [r.correct for r in recs] == [True, False, True, False]
+    assert [r.g for r in recs] == [1, 1, 0, 1]
+    assert [r.r for r in recs] == [0.7, 0.9, 0.5, 0.5]
+    for rec, row in zip(recs, probs):
+        assert np.array_equal(rec.probs, row)
+        assert type(rec.r) is float and type(rec.predicted) is int and type(rec.g) is int
+        assert rec.correct == (rec.predicted == rec.g)
+    probs[0] = [1.0, 0.0]   # records keep their own copy
+    assert np.array_equal(recs[0].probs, [0.3, 0.7])
 
 
 def test_record_validation():
@@ -66,6 +71,11 @@ def test_record_validation():
         records_from_probs(np.array([[0.3, 0.8]]), np.array([1]))  # sums to 1.1
     with pytest.raises(ValueError):
         records_from_probs(np.array([[0.3, 0.7]]), np.array([2]))
+    with pytest.raises(ValueError, match="got np.int64\\(2\\)"):
+        records_from_probs(np.array([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]]),
+                           np.array([1, 2, 0]))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        records_from_probs(np.array([[0.3, 0.7]]), np.array([0.5]))
     with pytest.raises(ValueError):
         records_from_probs(np.array([[0.3, 0.7], [0.4, 0.6]]), np.array([1]))
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from calibtrain.autodiff import backward, constant
+from calibtrain.autodiff import Adam, backward, constant
+from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture, labels
+from calibtrain.harness.config import DEFAULT_SUITE
+from calibtrain.losses import LossSpec, total_loss
 from calibtrain.model import (
+    LOGVAR_MAX,
+    LOGVAR_MIN,
     NonFiniteActivation,
     VaeClassifier,
     kl_loss,
@@ -10,7 +15,8 @@ from calibtrain.model import (
     reconstruction_loss,
     save_checkpoint,
 )
-from oracles import FD_STEP, rel_error
+from calibtrain.uncertainty import epistemic_batch
+from oracles import FD_STEP, graph_vae_forward, rel_error
 
 
 def make_model(seed=0, d=4):
@@ -98,7 +104,101 @@ def test_numpy_path_matches_graph_path_bitwise():
     mu, lv = m.encode_values(x)
     assert np.array_equal(mu, res.mu_z.value)
     assert np.array_equal(lv, res.logvar_z.value)
-    assert np.array_equal(m.decode_values(mu), res.xhat.value)
+    assert np.array_equal(m.classify_values(mu), res.probs.value)
+    assert np.array_equal(graph_vae_forward(m, x).xhat.value, res.xhat.value)
+
+
+@pytest.fixture(scope="module")
+def scaled_batch():
+    split = generate_gaussian_mixture(sizes=(250, 10, 10), seed=4)
+    return FeatureScaler().fit_transform(features(split.train)), labels(split.train)
+
+
+def _spread_model():
+    """Default-sized model off its symmetric init, with two logvar units
+    pushed across the clamp bounds for some samples of the batch."""
+    model = VaeClassifier(d=8, seed=3)
+    rng = np.random.default_rng(8)
+    for _, node in model.params.items():
+        node.value += rng.normal(0.0, 0.3, node.value.shape)
+    model.params["enc.b_lv"].value[:2] = [11.0, -10.0]
+    return model
+
+
+@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+@pytest.mark.parametrize("n", [25, 250])
+@pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
+def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, sample_latent):
+    x, g = scaled_batch[0][:n], scaled_batch[1][:n]
+    spec = LossSpec.from_dict(dict(entry))
+    model = _spread_model()
+    conf = None
+    if spec.strategy == "confidence_weight":
+        conf = epistemic_batch(model, x, n=5, rng=np.random.default_rng(7))
+
+    def run(forward):
+        model.params.zero_grad()
+        out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
+        loss, _ = total_loss(x, out, g, spec, epistemic_conf=conf)
+        backward(loss)
+        values = [out.xhat.value, out.mu_z.value, out.logvar_z.value, out.z.value,
+                  out.probs.value, loss.value]
+        return values, {name: node.grad.copy() for name, node in model.params.items()}
+
+    values, grads = run(VaeClassifier.forward)
+    ref_values, ref_grads = run(graph_vae_forward)
+    for got, want in zip(values, ref_values):
+        assert np.array_equal(got, want)
+    assert (values[2] == LOGVAR_MAX).any() and (values[2] == LOGVAR_MIN).any()
+    assert all(np.any(grad != 0.0) for grad in grads.values())
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def _reachable(*roots):
+    seen, stack = {id(r): r for r in roots}, list(roots)
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_graph_holds_fused_layers_only(scaled_batch):
+    x, g = scaled_batch[0][:25], scaled_batch[1][:25]
+    m = _spread_model()
+    out = m.forward(x, rng=np.random.default_rng(0), sample_latent=True)
+    loss, _ = total_loss(x, out, g, LossSpec(strategy="baseline"))
+    ops = {node.op for node in _reachable(loss)}
+    assert not ops & {"matmul", "tanh", "sigmoid", "softmax", "relu"}
+    # the model adds one node per layer and the parameter buffer; the input
+    # features get no node
+    model_nodes = _reachable(out.xhat, out.mu_z, out.logvar_z, out.probs)
+    assert sorted(node.op for node in model_nodes) == sorted(
+        ["params", "enc.hidden", "enc.mu", "enc.logvar", "latent", "decoder", "classifier"])
+    assert not any(node.value is x for node in model_nodes)
+
+
+def test_param_writes_reach_next_forward_after_adam():
+    m = make_model()
+    x = batch()
+    opt = Adam(m.params, lr=0.1)
+    m.params["clf.b2"].value[0] = 4.0                       # in-place write
+    assert np.all(m.forward(x).probs.value[:, 0] > 0.9)
+    m.params["clf.b2"].value = np.array([0.0, 4.0])         # assignment
+    assert np.all(m.forward(x).probs.value[:, 1] > 0.9)
+    assert np.array_equal(m.predict_probs(x), m.forward(x).probs.value)
+
+    out = m.forward(x)
+    backward(reconstruction_loss(x, out.xhat))
+    before = m.params.copy_values()
+    opt.step()
+    moved = [name for name in m.params.names()
+             if not np.array_equal(m.params[name].value, before[name])]
+    assert moved == ["enc.w1", "enc.b1", "enc.w_mu", "enc.b_mu",
+                     "dec.w1", "dec.b1", "dec.w2", "dec.b2"]
+    assert not np.array_equal(m.forward(x).xhat.value, out.xhat.value)
 
 
 def test_kl_closed_forms():
@@ -196,8 +296,25 @@ def test_checkpoint_round_trip(tmp_path):
     assert manifest["extra"] == {"note": "unit"}
     for name in m.params.names():
         assert np.array_equal(back.params[name].value, m.params[name].value), name
+    assert back.params.flat.tobytes() == m.params.flat.tobytes()
     x = np.random.default_rng(2).random((4, 5))
     assert np.array_equal(back.predict_probs(x), m.predict_probs(x))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "params.bin"]
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    m = VaeClassifier(d=3, hidden=4, latent=2, seed=0)
+    save_checkpoint(m, tmp_path, epoch=1)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    m.params.flat[:] += 1.0
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("calibtrain.model.os.replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(m, tmp_path, epoch=2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("change", [-1, 1])
