@@ -3,11 +3,15 @@
 Nodes form an acyclic computation graph; ``backward`` walks it once in
 reverse topological order and accumulates gradients into every reachable
 node that depends on a trainable leaf. Constants, and subgraphs built from
-constants alone, get no gradient and are not visited. Only the operations
-needed by the training losses are provided: matmul, broadcast add/mul/div,
-relu (max with zero), sigmoid, tanh, exp, floored log, row softmax,
-sum/mean, absolute value, scalar power and transpose. Everything is float64
+constants alone, get no gradient and are not visited. Everything is float64
 and single-threaded, so identical seeds give bitwise-identical trajectories.
+
+A training step is made of fused nodes: each VAE layer (``model``) and each
+loss term (``losses``) is one node that computes its value in numpy and has
+a hand-written vector-Jacobian product. The graph keeps only the points where
+cotangents meet (the layer outputs, the class probabilities), so ``backward``
+sums them in a fixed order. The engine itself provides only broadcast add,
+negation and multiplication, with operator sugar, to combine nodes.
 
 Trainable values live in a :class:`ParamSet`: one contiguous float64 buffer
 with a named view per parameter, and a gradient buffer of the same layout,
@@ -16,7 +20,7 @@ so :class:`Adam` updates every parameter with a handful of vector ops.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +46,9 @@ class Node:
     ``parents`` holds the input nodes and ``_vjps`` the matching
     vector-Jacobian closures used by ``backward``. A closure returns the
     parent's gradient contribution, or None when it has written that
-    contribution itself (fused layers write into a parameter buffer).
+    contribution itself: fused layers write into a parameter buffer, and a
+    fused loss term that feeds one parent several times adds each part in
+    turn, in the order the op-by-op graph of that term would.
     ``requires_grad`` marks trainable leaves and every node computed from
     one; ``backward`` skips the rest. ``grad`` has the shape of ``value``:
     it is allocated when the first contribution arrives and reads as zeros
@@ -101,21 +107,6 @@ class Node:
     def __rmul__(self, other):
         return mul(_lift(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def __rmatmul__(self, other):
-        return matmul(_lift(other), self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __neg__(self):
         return neg(self)
 
@@ -123,11 +114,6 @@ class Node:
 def constant(x) -> Node:
     """Leaf node that never receives a gradient."""
     return Node(x, op="const")
-
-
-def param(x) -> Node:
-    """Trainable leaf node; ``backward`` accumulates into its ``grad``."""
-    return Node(x, op="param", requires_grad=True)
 
 
 def _lift(x) -> Node:
@@ -182,151 +168,6 @@ def mul(a: Node, b: Node) -> Node:
         lambda g: _unbroadcast(g * b.value, a.value.shape),
         lambda g: _unbroadcast(g * a.value, b.value.shape),
     ))
-
-
-def div(a: Node, b: Node) -> Node:
-    _check_broadcast(a, b, "div")
-    out = a.value / b.value
-    return Node(out, op="div", parents=(a, b), vjps=(
-        lambda g: _unbroadcast(g / b.value, a.value.shape),
-        lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-    ))
-
-
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeMismatch(
-            f"matmul: shapes {a.value.shape} and {b.value.shape} do not conform"
-        )
-    out = a.value @ b.value
-    return Node(out, op="matmul", parents=(a, b), vjps=(
-        lambda g: g @ b.value.T,
-        lambda g: a.value.T @ g,
-    ))
-
-
-def transpose(a: Node) -> Node:
-    return Node(a.value.T, op="transpose", parents=(a,), vjps=(lambda g: g.T,))
-
-
-# ---------------------------------------------------------------------------
-# elementwise nonlinearities
-# ---------------------------------------------------------------------------
-
-def relu(a: Node) -> Node:
-    """max(x, 0); subgradient 0 at the kink."""
-    mask = a.value > 0
-    return Node(np.where(mask, a.value, 0.0), op="relu", parents=(a,),
-                vjps=(lambda g: g * mask,))
-
-
-def absolute(a: Node) -> Node:
-    """|x|; subgradient 0 at the kink."""
-    sign = np.sign(a.value)
-    return Node(np.abs(a.value), op="abs", parents=(a,),
-                vjps=(lambda g: g * sign,))
-
-
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Node) -> Node:
-    s = _sigmoid_values(a.value)
-    return Node(s, op="sigmoid", parents=(a,), vjps=(lambda g: g * s * (1.0 - s),))
-
-
-def tanh(a: Node) -> Node:
-    t = np.tanh(a.value)
-    return Node(t, op="tanh", parents=(a,), vjps=(lambda g: g * (1.0 - t * t),))
-
-
-def exp(a: Node) -> Node:
-    e = np.exp(a.value)
-    return Node(e, op="exp", parents=(a,), vjps=(lambda g: g * e,))
-
-
-def log(a: Node) -> Node:
-    """log with an input floor of EPS; zero gradient below the floor."""
-    floored = np.maximum(a.value, EPS)
-    above = a.value > EPS
-    return Node(np.log(floored), op="log", parents=(a,),
-                vjps=(lambda g: g * np.where(above, 1.0 / floored, 0.0),))
-
-
-def power(a: Node, exponent: float) -> Node:
-    """Elementwise x**q for a fixed scalar exponent.
-
-    For q < 1 the gradient denominator is floored at EPS so the derivative
-    stays finite when the base touches zero (forward values are exact).
-    """
-    q = float(exponent)
-    out = a.value ** q
-    if q < 1.0:
-        def vjp(g):
-            base = np.maximum(a.value, EPS)
-            return g * q * base ** (q - 1.0)
-    else:
-        def vjp(g):
-            return g * q * a.value ** (q - 1.0)
-    return Node(out, op="power", parents=(a,), vjps=(vjp,))
-
-
-def _softmax_values(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(a: Node) -> Node:
-    """Row softmax over the last axis; rows sum to 1 within 1e-12."""
-    s = _softmax_values(a.value)
-
-    def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return s * (g - dot)
-
-    return Node(s, op="softmax", parents=(a,), vjps=(vjp,))
-
-
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-def _spread(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """A new array of ``shape`` holding ``g`` broadcast over it."""
-    out = np.empty(shape)
-    out[...] = g
-    return out
-
-
-def nsum(a: Node, axis: int | None = None) -> Node:
-    """Sum to a scalar, or along axis 0/1 with keepdims."""
-    out = a.value.sum() if axis is None else a.value.sum(axis=axis, keepdims=True)
-    return Node(out, op="sum", parents=(a,),
-                vjps=(lambda g: _spread(g, a.value.shape),))
-
-
-def mean(a: Node) -> Node:
-    n = a.value.size
-    out = a.value.mean()
-    return Node(out, op="mean", parents=(a,),
-                vjps=(lambda g: _spread(g / n, a.value.shape),))
-
-
-def maximum(a: Node, b: Node) -> Node:
-    """Elementwise max via b + relu(a - b); ties take the b branch."""
-    return add(b, relu(add(a, neg(b))))
-
-
-def clamp(a: Node, lo: float, hi: float) -> Node:
-    """Piecewise-linear clamp to [lo, hi] with unit gradient inside."""
-    return constant(lo) + relu(a - lo) - relu(a - hi)
 
 
 # ---------------------------------------------------------------------------

@@ -197,14 +197,27 @@ def cmd_report(args) -> int:
     return 0
 
 
+RELIABILITY_COLUMNS = 6   # bin, lower, upper, count, conf, acc
+
+
 def _table_from_csv(path: Path) -> BinTable:
+    """A reliability table read back from its CSV; ValueError names the file."""
     lines = path.read_text().splitlines()[1:]
+    if not lines:
+        raise ValueError(f"{path}: no bins, only a header")
+    opt = lambda s: None if s == "" else float(s)
     bins = []
-    for line in lines:
-        _, lower, upper, count, conf, acc = line.split(",")
-        opt = lambda s: None if s == "" else float(s)
-        bins.append(Bin(lower=opt(lower), upper=opt(upper), count=int(count),
-                        conf=opt(conf), acc=opt(acc)))
+    for row, line in enumerate(lines, start=2):
+        cells = line.split(",")
+        if len(cells) != RELIABILITY_COLUMNS:
+            raise ValueError(f"{path}: line {row} has {len(cells)} columns, "
+                             f"expected {RELIABILITY_COLUMNS}")
+        _, lower, upper, count, conf, acc = cells
+        try:
+            bins.append(Bin(lower=opt(lower), upper=opt(upper), count=int(count),
+                            conf=opt(conf), acc=opt(acc)))
+        except ValueError as err:
+            raise ValueError(f"{path}: line {row}: {err}") from None
     scheme = "equal_width" if path.stem.endswith("_equal_width") else "adaptive"
     n = sum(b.count for b in bins)
     return BinTable(scheme=scheme, m=len(bins), n=n, bins=bins)
@@ -213,12 +226,13 @@ def _table_from_csv(path: Path) -> BinTable:
 def cmd_plot(args) -> int:
     run = Path(args.run_dir)
     rel = run / "reliability"
-    tables = sorted(rel.glob("*.csv")) if rel.is_dir() else []
-    if not tables:
+    paths = sorted(rel.glob("*.csv")) if rel.is_dir() else []
+    if not paths:
         print(f"no reliability tables under {rel}", file=sys.stderr)
         return 1
-    for path in tables:
-        table = _table_from_csv(path)
+    # read every table before writing any SVG, so a bad table writes nothing
+    tables = [(path, _table_from_csv(path)) for path in paths]
+    for path, table in tables:
         suffix = f"_{table.scheme}"
         strategy = path.stem[: -len(suffix)]
         title = f"{strategy} ({table.scheme.replace('_', '-')} bins)"

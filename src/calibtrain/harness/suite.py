@@ -14,6 +14,8 @@ timestamps appear anywhere, so re-running a suite reproduces every byte.
 from __future__ import annotations
 
 import json
+import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,9 +152,11 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
     g_test = labels(split.test)
 
     specs = [LossSpec.from_dict(dict(entry)) for entry in config.suite]
+    n_cells = len(specs) * len(config.seeds)
     cells = []
     for spec in specs:
         for seed in config.seeds:
+            start = time.perf_counter()
             try:
                 cell = _run_cell(config, split, spec, seed, scaler, x_test, g_test)
             except Exception as err:   # a cell failure must not sink the suite
@@ -160,6 +164,10 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
                                   selected_epoch={}, metrics={}, test_records={},
                                   failed=True, failure=f"{type(err).__name__}: {err}")
             cells.append(cell)
+            # progress goes to stderr: timings stay out of the reports
+            print(f"[{len(cells)}/{n_cells}] {spec.strategy} seed {seed} "
+                  f"{'FAILED' if cell.failed else 'ok'} {time.perf_counter() - start:.1f}s",
+                  file=sys.stderr, flush=True)
 
     _write_reports(config, cells, out)
     ok = not any(c.failed for c in cells)

@@ -60,21 +60,18 @@ class EpochHistory:
 
 
 def select_model(history: EpochHistory, criterion: str):
-    """Pick the best epoch under the criterion; ties go to the earliest epoch.
+    """The best epoch under the criterion, as ``history.record`` kept it
+    (strict improvement, so ties go to the earliest epoch).
 
-    Returns (EpochEntry, params-or-None). Raises on an empty history.
+    Returns (EpochEntry, params). Raises on an empty history.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if not history.entries:
         raise ValueError("cannot select a model from an empty history")
-    if criterion == "max-val-bacc":
-        entry = max(history.entries, key=lambda e: (e.val_bacc, -e.epoch))
-    else:
-        entry = min(history.entries, key=lambda e: (e.val_ece, e.epoch))
-    stored = history.best.get(criterion)
-    params = stored["params"] if stored and stored["epoch"] == entry.epoch else None
-    return entry, params
+    best = history.best[criterion]
+    entry = next(e for e in history.entries if e.epoch == best["epoch"])
+    return entry, best["params"]
 
 
 def evaluate_records(model: VaeClassifier, xs: np.ndarray,

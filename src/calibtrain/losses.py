@@ -14,32 +14,34 @@ Confidence r_i is the probability of the arg-max class; the arg-max itself is
 treated as locally constant, so gradients flow through the selected entries
 only. Epistemic confidences C_i and the certain/uncertain partition are
 stop-gradient constants.
+
+Each term is one fused graph node over the class probabilities: it computes
+its value in numpy and has a hand-written backward pass. The tests keep the
+op-by-op graph of every term as the reference. Each backward pass repeats
+that graph's arithmetic operand for operand, sums the cotangents of a shared
+intermediate (r, the soft-bin counts, the MMCE kernel) in the order that
+graph's backward walk would, and adds its parts to the probabilities in that
+order too. Values and gradients are therefore bitwise those of the
+reference, and the graph of a whole loss holds a handful of nodes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    EPS,
-    Node,
-    absolute,
-    constant,
-    exp,
-    log,
-    mean,
-    nsum,
-    power,
-    relu,
-    softmax,
-    tanh,
-    transpose,
+from .autodiff import EPS, Node, constant
+from .model import (
+    ForwardResult,
+    _floored_log,
+    _mean,
+    _softmax_values,
+    kl_loss,
+    reconstruction_loss,
 )
-from .model import ForwardResult, kl_loss, reconstruction_loss
 
 log_ = logging.getLogger(__name__)
 
@@ -127,43 +129,49 @@ class LossSpec:
         return cls(**kept)
 
 
+_POS = np.array([0.0, 1.0])   # selects the P(g=1) column
+_NEG = np.array([1.0, 0.0])   # selects the P(g=0) column
+
+
 @dataclass
 class BatchView:
-    """Per-batch classifier outputs with the derived constants the losses need."""
+    """Per-batch classifier outputs with the derived constants the losses need.
+
+    The column accessors return (n, 1) value arrays; a loss that reads a
+    column hands its cotangent back to ``probs`` through that column's mask.
+    """
 
     probs: Node                       # (n, 2) graph node
     labels: np.ndarray                # (n,) ints in {0, 1}
     predicted: np.ndarray             # (n,) arg-max of probs
     correct: np.ndarray               # (n,) bools
     epistemic_conf: np.ndarray | None = None  # C_i, stop-gradient
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def _col(self, key: str, mask: np.ndarray) -> Node:
-        if key not in self._cache:
-            self._cache[key] = nsum(self.probs * constant(mask), axis=1)
-        return self._cache[key]
+    def _onehot(self, cols: np.ndarray) -> np.ndarray:
+        onehot = np.zeros((self.n, 2))
+        onehot[np.arange(self.n), cols] = 1.0
+        return onehot
 
-    def r(self) -> Node:
+    def _pick(self, cols: np.ndarray) -> np.ndarray:
+        return self.probs.value[np.arange(self.n), cols][:, None]
+
+    def r(self) -> np.ndarray:
         """(n, 1) confidence of the predicted class."""
-        onehot = np.zeros((self.n, 2))
-        onehot[np.arange(self.n), self.predicted] = 1.0
-        return self._col("r", onehot)
+        return self._pick(self.predicted)
 
-    def prob_pos(self) -> Node:
-        return self._col("pos", np.broadcast_to([0.0, 1.0], (self.n, 2)).copy())
+    def prob_pos(self) -> np.ndarray:
+        return self.probs.value[:, 1:]
 
-    def prob_neg(self) -> Node:
-        return self._col("neg", np.broadcast_to([1.0, 0.0], (self.n, 2)).copy())
+    def prob_neg(self) -> np.ndarray:
+        return self.probs.value[:, :1]
 
-    def true_prob(self) -> Node:
+    def true_prob(self) -> np.ndarray:
         """(n, 1) probability assigned to the true class."""
-        onehot = np.zeros((self.n, 2))
-        onehot[np.arange(self.n), self.labels] = 1.0
-        return self._col("true", onehot)
+        return self._pick(self.labels)
 
 
 def make_batch_view(probs: Node, labels: np.ndarray,
@@ -182,12 +190,56 @@ def make_batch_view(probs: Node, labels: np.ndarray,
                      correct=predicted == labels, epistemic_conf=epistemic_conf)
 
 
+def _term(value, op: str, batch: BatchView, backward) -> Node:
+    """Fused node for one loss term over the class probabilities.
+
+    ``backward(g)`` returns the term's parts of the probabilities' cotangent,
+    each already spread over both columns, in the order the term's op-by-op
+    graph delivers them; they are added to ``probs`` one at a time.
+    """
+    probs = batch.probs
+
+    def vjp(g):
+        for part in backward(g):
+            probs._accumulate(part)
+
+    return Node(value, op=op, parents=(probs,), vjps=(vjp,))
+
+
+def _column_sum(g: np.ndarray) -> np.ndarray:
+    """Cotangent of an (n, 1) column broadcast against a (n, m) operand."""
+    return g.sum(axis=(1,), keepdims=True)
+
+
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """Cotangent of a (1, n) row broadcast against a (n, n) operand."""
+    return g.sum(axis=(0,), keepdims=True)
+
+
+def _in_order(parts: list) -> np.ndarray:
+    """((p0 + p1) + p2) + ...: cotangents summed as the graph would."""
+    return sum(parts[1:], parts[0])
+
+
 # ---------------------------------------------------------------------------
 # classifier cross-entropy (the L_C term)
 # ---------------------------------------------------------------------------
 
+def _cross_entropy(batch: BatchView, weights: np.ndarray | None, op: str) -> Node:
+    """-mean(w * log p_true), with w = 1 when ``weights`` is None."""
+    log_t, dlog_t = _floored_log(batch.true_prob())
+    per_sample = log_t if weights is None else weights * log_t
+
+    def backward(g):
+        g_sample = -g / per_sample.size
+        g_log = g_sample if weights is None else g_sample * weights
+        return [(g_log * dlog_t) * batch._onehot(batch.labels)]
+
+    return _term(-_mean(per_sample), op, batch, backward)
+
+
 def classifier_bce(batch: BatchView) -> Node:
-    return -mean(log(batch.true_prob()))
+    return _cross_entropy(batch, None, "classifier_bce")
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +254,52 @@ def paired_confidence_loss(batch: BatchView, margin: float) -> Node:
     pairs and divides by its incorrect count alone (not the pair count).
     A side with no incorrect or no correct members contributes 0.
     """
-    total: Node | None = None
-    for side_prob, side_mask in ((batch.prob_pos(), batch.predicted == 1),
-                                 (batch.prob_neg(), batch.predicted == 0)):
+    sides = []
+    for side_prob, select, side_mask in ((batch.prob_pos(), _POS, batch.predicted == 1),
+                                         (batch.prob_neg(), _NEG, batch.predicted == 0)):
         inc = (side_mask & ~batch.correct).astype(np.float64)[:, None]
         cor = (side_mask & batch.correct).astype(np.float64)[:, None]
         n_inc = inc.sum()
         if n_inc == 0 or cor.sum() == 0:
             continue
-        diff = side_prob - transpose(side_prob)          # diff[i, j] = P_i - P_j
-        hinge = relu(diff + margin)
-        pair_mask = constant(inc @ cor.T)                # 1 where (i inc, j cor)
-        side = nsum(hinge * pair_mask) * (1.0 / n_inc)
-        total = side if total is None else total + side
-    return total if total is not None else constant(0.0)
+        hinge_in = (side_prob - side_prob.T) + margin     # [i, j] = P_i - P_j + margin
+        active = hinge_in > 0
+        pair_mask = inc * cor.T                           # 1 where (i inc, j cor)
+        scale = 1.0 / n_inc
+        side = (np.where(active, hinge_in, 0.0) * pair_mask).sum() * scale
+        sides.append((side, select, pair_mask, active, scale))
+    if not sides:
+        return constant(0.0)
+    value = _in_order([side[0] for side in sides])
+
+    def backward(g):
+        parts = []
+        for _, select, pair_mask, active, scale in sides:
+            g_diff = ((g * scale) * pair_mask) * active
+            g_side = _column_sum(g_diff) + (-_row_sum(g_diff)).T
+            parts.append(g_side * select)
+        return parts
+
+    return _term(value, "paired_confidence", batch, backward)
 
 
 def probability_loss(batch: BatchView) -> Node:
     """Mean wrong-side probability, averaged per true class then summed."""
     pos = (batch.labels == 1).astype(np.float64)[:, None]
     neg = (batch.labels == 0).astype(np.float64)[:, None]
-    total: Node | None = None
+    terms = []
     if pos.sum() > 0:
-        total = nsum(batch.prob_neg() * constant(pos)) * (1.0 / pos.sum())
+        terms.append((batch.prob_neg(), pos, 1.0 / pos.sum(), _NEG))
     if neg.sum() > 0:
-        term = nsum(batch.prob_pos() * constant(neg)) * (1.0 / neg.sum())
-        total = term if total is None else total + term
-    return total if total is not None else constant(0.0)
+        terms.append((batch.prob_pos(), neg, 1.0 / neg.sum(), _POS))
+    if not terms:
+        return constant(0.0)
+    value = _in_order([(col * mask).sum() * scale for col, mask, scale, _ in terms])
+
+    def backward(g):
+        return [((g * scale) * mask) * select for _, mask, scale, select in terms]
+
+    return _term(value, "probability", batch, backward)
 
 
 def confidence_weights(batch: BatchView, weight_floor: float) -> np.ndarray:
@@ -247,7 +318,7 @@ def confidence_weights(batch: BatchView, weight_floor: float) -> np.ndarray:
 
 def weighted_classifier_loss(batch: BatchView, weight_floor: float) -> Node:
     weights = confidence_weights(batch, weight_floor)[:, None]
-    return -mean(constant(weights) * log(batch.true_prob()))
+    return _cross_entropy(batch, weights, "weighted_classifier")
 
 
 def avuc_loss(batch: BatchView, threshold: float) -> Node:
@@ -259,23 +330,40 @@ def avuc_loss(batch: BatchView, threshold: float) -> Node:
     inaccurate-certain (1 - r)(1 - tanh u), inaccurate-uncertain
     (1 - r) tanh u.
     """
+    p = batch.probs.value
     r = batch.r()
-    ent = -nsum(batch.probs * log(batch.probs), axis=1)
-    u = ent * (1.0 / math.log(2.0))
-    tu = tanh(u)
-    certain = (u.value < threshold).astype(np.float64)
+    log_p, dlog_p = _floored_log(p)
+    u = -(p * log_p).sum(axis=1, keepdims=True) * (1.0 / math.log(2.0))
+    tu = np.tanh(u)
+    certain = (u < threshold).astype(np.float64)
     acc = batch.correct.astype(np.float64)[:, None]
-    m_ac = constant(acc * certain)
-    m_au = constant(acc * (1.0 - certain))
-    m_ic = constant((1.0 - acc) * certain)
-    m_iu = constant((1.0 - acc) * (1.0 - certain))
-    one = constant(1.0)
-    n_ac = nsum(m_ac * r * (one - tu))
-    n_au = nsum(m_au * r * tu)
-    n_ic = nsum(m_ic * (one - r) * (one - tu))
-    n_iu = nsum(m_iu * (one - r) * tu)
-    ratio = (n_au + n_ic) / (n_ac + n_iu + EPS)
-    return log(one + ratio)
+    m_ac = acc * certain
+    m_au = acc * (1.0 - certain)
+    m_ic = (1.0 - acc) * certain
+    m_iu = (1.0 - acc) * (1.0 - certain)
+    not_tu = 1.0 - tu
+    not_r = 1.0 - r
+    ac, au, ic, iu = m_ac * r, m_au * r, m_ic * not_r, m_iu * not_r
+    n_ac = (ac * not_tu).sum()
+    n_iu = (iu * tu).sum()
+    num = (au * tu).sum() + (ic * not_tu).sum()
+    den = n_ac + n_iu + EPS
+    log_out, dlog_out = _floored_log(1.0 + num / den)
+
+    def backward(g):
+        g_ratio = g * dlog_out
+        g_num = g_ratio / den
+        g_den = -g_ratio * num / (den * den)
+        # r and tanh u each meet four cotangents, summed in the graph's order:
+        # accurate-uncertain, inaccurate-certain, accurate-certain,
+        # inaccurate-uncertain
+        g_r = (((g_num * tu) * m_au + (-((g_num * not_tu) * m_ic)))
+               + (g_den * not_tu) * m_ac + (-((g_den * tu) * m_iu)))
+        g_tu = ((g_num * au + (-(g_num * ic))) + (-(g_den * ac))) + g_den * iu
+        g_sum = -((g_tu * (1.0 - tu * tu)) * (1.0 / math.log(2.0)))
+        return [g_r * batch._onehot(batch.predicted), g_sum * log_p, (g_sum * p) * dlog_p]
+
+    return _term(log_out, "avuc", batch, backward)
 
 
 def soft_ece_loss(batch: BatchView, n_bins: int, temperature: float,
@@ -288,16 +376,36 @@ def soft_ece_loss(batch: BatchView, n_bins: int, temperature: float,
     """
     r = batch.r()
     centers = (np.arange(n_bins) + 0.5) / n_bins
-    diff = r - constant(centers[None, :])                # (n, M)
-    membership = softmax(diff * diff * (-1.0 / temperature))
-    acc = constant(batch.correct.astype(np.float64)[:, None])
-    b = nsum(membership, axis=0)                         # (1, M) soft counts
+    diff = r - centers[None, :]                          # (n, M)
+    membership = _softmax_values(diff * diff * (-1.0 / temperature))
+    acc = batch.correct.astype(np.float64)[:, None]
+    b = membership.sum(axis=0, keepdims=True)            # (1, M) soft counts
     denom = b + EPS
-    a_m = nsum(membership * acc, axis=0) / denom
-    r_m = nsum(membership * r, axis=0) / denom
+    acc_sum = (membership * acc).sum(axis=0, keepdims=True)
+    conf_sum = (membership * r).sum(axis=0, keepdims=True)
+    gap = acc_sum / denom - conf_sum / denom
     weights = b * (1.0 / batch.n)
-    inner = nsum(weights * power(absolute(a_m - r_m), norm_order))
-    return power(inner, 1.0 / norm_order)
+    order = float(norm_order)
+    gap_pow = np.abs(gap) ** order
+    inner = (weights * gap_pow).sum()
+    q = float(1.0 / norm_order)
+
+    def backward(g):
+        # d(inner ** q); below q = 1 the base is floored at EPS
+        base = np.maximum(inner, EPS) if q < 1.0 else inner
+        g_inner = g * q * base ** (q - 1.0)
+        g_gap = ((g_inner * weights) * order) * np.abs(gap) ** (order - 1.0) * np.sign(gap)
+        g_denom = -g_gap * acc_sum / (denom * denom) + g_gap * conf_sum / (denom * denom)
+        g_b = (g_inner * gap_pow) * (1.0 / batch.n) + g_denom
+        g_acc, g_conf = g_gap / denom, -g_gap / denom
+        g_membership = ((g_acc * acc) + (g_conf * r)) + g_b
+        dot = (g_membership * membership).sum(axis=-1, keepdims=True)
+        g_sq = (membership * (g_membership - dot)) * (-1.0 / temperature)
+        g_diff = g_sq * diff + g_sq * diff
+        g_r = _column_sum(g_conf * membership) + _column_sum(g_diff)
+        return [g_r * batch._onehot(batch.predicted)]
+
+    return _term(inner ** q, "soft_ece", batch, backward)
 
 
 def mmce_loss(batch: BatchView, kernel_width: float) -> Node:
@@ -308,25 +416,58 @@ def mmce_loss(batch: BatchView, kernel_width: float) -> Node:
     each normalized by its own pair count. Missing sides contribute 0.
     """
     r = batch.r()
-    k = exp(absolute(r - transpose(r)) * (-1.0 / kernel_width))   # (n, n)
+    dist = r - r.T
+    k = np.exp(np.abs(dist) * (-1.0 / kernel_width))     # (n, n)
     cor = batch.correct.astype(np.float64)[:, None]
     inc = 1.0 - cor
     m = cor.sum()
     n_inc = inc.sum()
-    total: Node | None = None
+    u = r * inc
+    v = (1.0 - r) * cor
+    ku = k @ u if n_inc > 0 else None
+    kv = k @ v if m > 0 else None
+    total = None
     if n_inc > 0:
-        u = r * constant(inc)
-        total = nsum(u * (k @ u)) * (1.0 / n_inc ** 2)
+        total = (u * ku).sum() * (1.0 / n_inc ** 2)
     if m > 0:
-        v = (constant(1.0) - r) * constant(cor)
-        term = nsum(v * (k @ v)) * (1.0 / m ** 2)
+        term = (v * kv).sum() * (1.0 / m ** 2)
         total = term if total is None else total + term
     if m > 0 and n_inc > 0:
-        u = r * constant(inc)
-        v = (constant(1.0) - r) * constant(cor)
-        total = total + nsum(v * (k @ u)) * (-2.0 / (m * n_inc))
+        total = total + (v * ku).sum() * (-2.0 / (m * n_inc))
     assert total is not None
-    return power(relu(total), 0.5)
+    clipped = np.where(total > 0, total, 0.0)
+
+    def backward(g):
+        g_total = (g * 0.5 * np.maximum(clipped, EPS) ** (0.5 - 1.0)) * (total > 0)
+        # the kernel and r gather cotangents from up to three quadratic forms
+        g_k, g_r = [], []
+        if n_inc > 0:
+            g_s = g_total * (1.0 / n_inc ** 2)
+            g_ku = g_s * u
+            g_k.append(g_ku @ u.T)
+            g_r.append(((g_s * ku) + k.T @ g_ku) * inc)
+        if m > 0:
+            g_s = g_total * (1.0 / m ** 2)
+            g_kv = g_s * v
+            g_k.append(g_kv @ v.T)
+            g_r.append(-(((g_s * kv) + k.T @ g_kv) * cor))
+        if m > 0 and n_inc > 0:
+            g_s = g_total * (-2.0 / (m * n_inc))
+            g_kuu = g_s * v
+            g_k.append(g_kuu @ u.T)
+            g_r.append(-((g_s * ku) * cor))
+            g_r.append((k.T @ g_kuu) * inc)
+        g_dist = ((_in_order(g_k) * k) * (-1.0 / kernel_width)) * np.sign(dist)
+        via_kernel = [_column_sum(g_dist), (-_row_sum(g_dist)).T]
+        # the graph delivers r's parts through the kernel first when it holds
+        # one form, and just before the cross form's u part when it holds three
+        if len(g_r) == 4:
+            g_r[3:3] = via_kernel
+        else:
+            g_r[0:0] = via_kernel
+        return [_in_order(g_r) * batch._onehot(batch.predicted)]
+
+    return _term(clipped ** 0.5, "mmce", batch, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +488,23 @@ def strategy_regularizer(batch: BatchView, spec: LossSpec) -> Node | None:
     return None
 
 
+def _weighted_sum(first: Node, weighted: list[tuple[Node, float]]) -> Node:
+    """first + t1 * w1 + t2 * w2 + ..., added left to right.
+
+    One node in place of the chain of graph products and sums it stands
+    for: it computes the same value and hands term i the cotangent g * w_i,
+    and its parents are the terms, so each term's value stays readable.
+    """
+    if not weighted:
+        return first
+    value = first.value
+    for term, weight in weighted:
+        value = value + term.value * weight
+    vjps = (lambda g: g,) + tuple((lambda g, w=weight: g * w) for _, weight in weighted)
+    return Node(value, op="total", parents=(first, *(term for term, _ in weighted)),
+                vjps=vjps)
+
+
 def total_loss(x: np.ndarray, result: ForwardResult, labels: np.ndarray,
                spec: LossSpec,
                epistemic_conf: np.ndarray | None = None) -> tuple[Node, BatchView]:
@@ -354,17 +512,18 @@ def total_loss(x: np.ndarray, result: ForwardResult, labels: np.ndarray,
 
     Terms with a coefficient of exactly 0.0 are omitted from the graph, so
     dropping a term and zeroing its coefficient are indistinguishable, down
-    to the gradients.
+    to the gradients. The loss node's parents are the terms, in the order
+    reconstruction, KL, classifier, regularizer.
     """
     batch = make_batch_view(result.probs, labels, epistemic_conf)
-    loss = reconstruction_loss(x, result.xhat)
+    weighted = []
     if spec.lambda_kl != 0.0:
-        loss = loss + kl_loss(result.mu_z, result.logvar_z) * spec.lambda_kl
+        weighted.append((kl_loss(result.mu_z, result.logvar_z), spec.lambda_kl))
     if spec.lambda_c != 0.0:
         if spec.strategy == "confidence_weight":
-            loss = loss + weighted_classifier_loss(batch, spec.weight_floor) * spec.lambda_c
+            weighted.append((weighted_classifier_loss(batch, spec.weight_floor), spec.lambda_c))
         else:
-            loss = loss + classifier_bce(batch) * spec.lambda_c
+            weighted.append((classifier_bce(batch), spec.lambda_c))
     if spec.strategy not in ("baseline", "confidence_weight") and spec.lambda_n != 0.0:
-        loss = loss + strategy_regularizer(batch, spec) * spec.lambda_n
-    return loss, batch
+        weighted.append((strategy_regularizer(batch, spec), spec.lambda_n))
+    return _weighted_sum(reconstruction_loss(x, result.xhat), weighted), batch

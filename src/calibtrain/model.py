@@ -35,18 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    Node,
-    Param,
-    ParamSet,
-    _sigmoid_values,
-    _softmax_values,
-    constant,
-    exp,
-    log,
-    mean,
-    nsum,
-)
+from .autodiff import EPS, Node, Param, ParamSet
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -73,6 +62,22 @@ class ForwardResult:
 # ---------------------------------------------------------------------------
 # layers: forward arithmetic and hand-written backward passes
 # ---------------------------------------------------------------------------
+
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _softmax_values(x: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis; rows sum to 1 within 1e-12."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
 
 def _affine(a: np.ndarray, w: Param, b: Param) -> np.ndarray:
     return a @ w.value + b.value
@@ -256,6 +261,21 @@ class VaeClassifier:
 # ---------------------------------------------------------------------------
 # losses on the VAE heads
 # ---------------------------------------------------------------------------
+# Each loss is one fused node; its backward pass repeats the arithmetic of the
+# op-by-op graph it replaces (kept in the tests as the reference) operand for
+# operand, and feeds each parent its parts in that graph's order.
+
+def _mean(a: np.ndarray):
+    """``a.mean()`` to the bit (numpy divides the same sum by the count),
+    without the Python-level wrapper around it."""
+    return a.sum() / a.size
+
+
+def _floored_log(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(max(a, EPS)), and its derivative with zero below the floor."""
+    floored = np.maximum(a, EPS)
+    return np.log(floored), np.where(a > EPS, 1.0 / floored, 0.0)
+
 
 def reconstruction_loss(x: np.ndarray, xhat: Node) -> Node:
     """Mean per-coordinate binary cross-entropy against targets in [0, 1]."""
@@ -264,17 +284,37 @@ def reconstruction_loss(x: np.ndarray, xhat: Node) -> Node:
         raise ValueError(f"target shape {x.shape} != reconstruction shape {xhat.value.shape}")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("reconstruction targets must lie in [0, 1]; scale features first")
-    xc = constant(x)
-    per_entry = xc * log(xhat) + (constant(1.0 - x)) * log(constant(1.0) - xhat)
-    return -mean(per_entry)
+    log_p, dlog_p = _floored_log(xhat.value)
+    log_q, dlog_q = _floored_log(1.0 - xhat.value)
+    x_neg = 1.0 - x
+    per_entry = x * log_p + x_neg * log_q
+
+    def vjp(g):
+        g_entry = -g / per_entry.size
+        return (g_entry * x) * dlog_p + (-((g_entry * x_neg) * dlog_q))
+
+    return Node(-_mean(per_entry), op="reconstruction", parents=(xhat,), vjps=(vjp,))
 
 
 def kl_loss(mu: Node, logvar: Node) -> Node:
     """KL(q(z|x) || N(0, I)), summed over latent dims, averaged over the batch."""
-    inner = constant(1.0) + logvar - mu * mu - exp(logvar)
-    per_sample = nsum(inner, axis=1)
-    n = per_sample.value.size
-    return nsum(per_sample) * (-0.5 / n)
+    m, lv = mu.value, logvar.value
+    e = np.exp(lv)
+    per_sample = ((1.0 + lv - m * m) - e).sum(axis=1, keepdims=True)
+    scale = -0.5 / per_sample.size
+
+    def to_mu(g):
+        part = -(g * scale) * m           # once for each factor of mu * mu
+        mu._accumulate(part)
+        mu._accumulate(part)
+
+    def to_logvar(g):
+        g_inner = g * scale
+        logvar._accumulate(np.full(lv.shape, g_inner))
+        logvar._accumulate(-g_inner * e)
+
+    return Node(per_sample.sum() * scale, op="kl", parents=(mu, logvar),
+                vjps=(to_mu, to_logvar))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,21 @@ one (z = mu on the original input); the remaining n - 1 passes vary either
 the latent draw (epistemic) or the input via additive Gaussian noise
 (aleatoric, with the latent held at mu so only input noise contributes).
 
-One kernel casts the votes of a block of samples with a single batched
-encode/classify pass. ``epistemic`` and ``aleatoric`` call it on one sample;
-``uncertainty_records`` calls it on the test split in chunks of VOTE_CHUNK
-samples, which bounds the intermediate arrays at VOTE_CHUNK x n rows. Each
-test sample i draws from its own substream default_rng(base_seed + (i,)):
-one (n - 1, latent) standard-normal draw for epistemic, or one (n - 1, d)
-draw times sigma, added in raw feature space before scaling, for aleatoric.
-The votes therefore do not depend on the chunk size or evaluation order.
+Votes are cast in blocks of at most VOTE_ROWS classifier rows (or of one
+sample's, or one pass's, rows when those alone are more), one batched pass
+per block, so the intermediate arrays stay small whatever the split or
+batch size. One kernel casts the votes of a block of samples.
+``epistemic`` and ``aleatoric`` call it on one sample; ``uncertainty_records``
+calls it on the test split in chunks of VOTE_ROWS // n samples. Each test
+sample i draws from its own substream default_rng(base_seed + (i,)): one
+(n - 1, latent) standard-normal draw for epistemic, or one (n - 1, d) draw
+times sigma, added in raw feature space before scaling, for aleatoric. The
+votes therefore do not depend on the chunk size or evaluation order.
+
+``epistemic_batch``, which confidence-weight training calls on every batch
+of b rows, shares one rng across the batch instead: its n - 1 latent passes
+are drawn VOTE_ROWS // b at a time, each block one (k, b, latent) draw, which
+reads the stream exactly as one (b, latent) draw per pass would.
 
 Records built from the votes use r = max(c, 1 - c) as confidence and the
 majority vote as the label; an exact tie at 0.5 predicts positive.
@@ -30,9 +37,9 @@ from .metrics import PredictionRecord
 from .model import VaeClassifier
 
 KINDS = ("epistemic", "aleatoric")
-# test samples voted per batched forward pass; bounds the arrays at
-# VOTE_CHUNK x n rows, so peak memory stays flat in the test-split size
-VOTE_CHUNK = 128
+# classifier rows per batched vote pass; bounds the vote arrays, so peak
+# memory stays flat in the test-split and batch sizes
+VOTE_ROWS = 512
 
 
 @dataclass
@@ -133,7 +140,7 @@ def uncertainty_records(model: VaeClassifier, split: DataSplit, kind: str,
                         scaler: FeatureScaler | None = None, n: int = 20,
                         sigma: float | None = None,
                         base_seed: tuple = (0,)) -> list[PredictionRecord]:
-    """One vote-based record per test sample, voted VOTE_CHUNK samples at a time.
+    """One vote-based record per test sample, voted VOTE_ROWS // n samples at a time.
 
     Sample i draws from its own substream default_rng(base_seed + (i,)), so
     results do not depend on evaluation order. Aleatoric sigma defaults to
@@ -146,8 +153,9 @@ def uncertainty_records(model: VaeClassifier, split: DataSplit, kind: str,
     x = features(split.test)
     g = labels(split.test)
     records = []
-    for start in range(0, len(g), VOTE_CHUNK):
-        stop = min(start + VOTE_CHUNK, len(g))
+    chunk = max(1, VOTE_ROWS // n)
+    for start in range(0, len(g), chunk):
+        stop = min(start + chunk, len(g))
         rngs = [np.random.default_rng(tuple(base_seed) + (i,)) for i in range(start, stop)]
         preds = _vote_predictions(model, x[start:stop], kind, n, rngs,
                                   sigma=sigma, scaler=scaler)
@@ -162,7 +170,8 @@ def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,
 
     Used during confidence-weight training, where each batch draws its C_i
     from a dedicated substream. Consumes (n - 1) draws of shape xs.shape[0]
-    x latent regardless of content, keeping the stream layout stable.
+    x latent regardless of content, keeping the stream layout stable; they
+    are drawn and classified in blocks of up to VOTE_ROWS rows.
     """
     if n < 1:
         raise ValueError(f"need at least one pass, got n={n}")
@@ -172,8 +181,12 @@ def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,
     mu, lv = model.encode_values(xs)
     counts = (_predict_labels(model, mu) == 1).astype(np.float64)
     if n > 1:
+        b, latent = mu.shape
         sigma = np.exp(lv / 2.0)
-        for _ in range(n - 1):
-            z = mu + sigma * rng.standard_normal(mu.shape)
-            counts += _predict_labels(model, z) == 1
+        block = max(1, VOTE_ROWS // max(b, 1))
+        for start in range(0, n - 1, block):
+            k = min(block, n - 1 - start)
+            z = mu + sigma * rng.standard_normal((k, b, latent))
+            votes = _predict_labels(model, z.reshape(k * b, latent)) == 1
+            counts += votes.reshape(k, b).sum(axis=0)
     return counts / n

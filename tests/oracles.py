@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately naive (plain loops, no code shared with the
-package) so it can serve as an oracle for the real implementations. The one
-exception is the graph-built VAE at the end, which composes the package's
-autodiff ops, whose gradients the op-level tests check on their own.
+package) so it can serve as an oracle for the real implementations. The
+exceptions are the last three sections: the graph ops the package no longer
+needs (the op-level tests check their gradients on their own), and the VAE
+and the loss heads built from them one node per operation, which the fused
+layers and loss heads of the package must match bitwise.
 """
 
 from __future__ import annotations
@@ -12,8 +14,24 @@ import math
 
 import numpy as np
 
-from calibtrain import autodiff as ad
-from calibtrain.model import LOGVAR_MAX, LOGVAR_MIN, ForwardResult
+from calibtrain.autodiff import (
+    EPS,
+    Node,
+    ShapeMismatch,
+    _check_broadcast,
+    _unbroadcast,
+    add,
+    constant,
+    neg,
+)
+from calibtrain.losses import BatchView, confidence_weights, make_batch_view
+from calibtrain.model import (
+    LOGVAR_MAX,
+    LOGVAR_MIN,
+    ForwardResult,
+    _sigmoid_values,
+    _softmax_values,
+)
 
 FD_STEP = 1e-5
 
@@ -215,6 +233,139 @@ def brute_soft_ece(rs, corrects, n_bins, temperature, order) -> float:
 
 
 # ---------------------------------------------------------------------------
+# graph ops: one autodiff node per operation
+# ---------------------------------------------------------------------------
+# The package builds its training step from fused nodes only; these are the
+# single operations the reference graphs below are made of.
+
+def param(x) -> Node:
+    """Trainable leaf node; ``backward`` accumulates into its ``grad``."""
+    return Node(x, op="param", requires_grad=True)
+
+
+def div(a: Node, b: Node) -> Node:
+    _check_broadcast(a, b, "div")
+    out = a.value / b.value
+    return Node(out, op="div", parents=(a, b), vjps=(
+        lambda g: _unbroadcast(g / b.value, a.value.shape),
+        lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
+    ))
+
+
+def matmul(a: Node, b: Node) -> Node:
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
+        raise ShapeMismatch(
+            f"matmul: shapes {a.value.shape} and {b.value.shape} do not conform"
+        )
+    out = a.value @ b.value
+    return Node(out, op="matmul", parents=(a, b), vjps=(
+        lambda g: g @ b.value.T,
+        lambda g: a.value.T @ g,
+    ))
+
+
+def transpose(a: Node) -> Node:
+    return Node(a.value.T, op="transpose", parents=(a,), vjps=(lambda g: g.T,))
+
+
+def relu(a: Node) -> Node:
+    """max(x, 0); subgradient 0 at the kink."""
+    mask = a.value > 0
+    return Node(np.where(mask, a.value, 0.0), op="relu", parents=(a,),
+                vjps=(lambda g: g * mask,))
+
+
+def absolute(a: Node) -> Node:
+    """|x|; subgradient 0 at the kink."""
+    sign = np.sign(a.value)
+    return Node(np.abs(a.value), op="abs", parents=(a,),
+                vjps=(lambda g: g * sign,))
+
+
+def sigmoid(a: Node) -> Node:
+    s = _sigmoid_values(a.value)
+    return Node(s, op="sigmoid", parents=(a,), vjps=(lambda g: g * s * (1.0 - s),))
+
+
+def tanh(a: Node) -> Node:
+    t = np.tanh(a.value)
+    return Node(t, op="tanh", parents=(a,), vjps=(lambda g: g * (1.0 - t * t),))
+
+
+def exp(a: Node) -> Node:
+    e = np.exp(a.value)
+    return Node(e, op="exp", parents=(a,), vjps=(lambda g: g * e,))
+
+
+def log(a: Node) -> Node:
+    """log with an input floor of EPS; zero gradient below the floor."""
+    floored = np.maximum(a.value, EPS)
+    above = a.value > EPS
+    return Node(np.log(floored), op="log", parents=(a,),
+                vjps=(lambda g: g * np.where(above, 1.0 / floored, 0.0),))
+
+
+def power(a: Node, exponent: float) -> Node:
+    """Elementwise x**q for a fixed scalar exponent.
+
+    For q < 1 the gradient denominator is floored at EPS so the derivative
+    stays finite when the base touches zero (forward values are exact).
+    """
+    q = float(exponent)
+    out = a.value ** q
+    if q < 1.0:
+        def vjp(g):
+            base = np.maximum(a.value, EPS)
+            return g * q * base ** (q - 1.0)
+    else:
+        def vjp(g):
+            return g * q * a.value ** (q - 1.0)
+    return Node(out, op="power", parents=(a,), vjps=(vjp,))
+
+
+def softmax(a: Node) -> Node:
+    """Row softmax over the last axis; rows sum to 1 within 1e-12."""
+    s = _softmax_values(a.value)
+
+    def vjp(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        return s * (g - dot)
+
+    return Node(s, op="softmax", parents=(a,), vjps=(vjp,))
+
+
+def _spread(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """A new array of ``shape`` holding ``g`` broadcast over it."""
+    out = np.empty(shape)
+    out[...] = g
+    return out
+
+
+def nsum(a: Node, axis: int | None = None) -> Node:
+    """Sum to a scalar, or along axis 0/1 with keepdims."""
+    out = a.value.sum() if axis is None else a.value.sum(axis=axis, keepdims=True)
+    return Node(out, op="sum", parents=(a,),
+                vjps=(lambda g: _spread(g, a.value.shape),))
+
+
+def mean(a: Node) -> Node:
+    n = a.value.size
+    out = a.value.mean()
+    return Node(out, op="mean", parents=(a,),
+                vjps=(lambda g: _spread(g / n, a.value.shape),))
+
+
+def maximum(a: Node, b: Node) -> Node:
+    """Elementwise max via b + relu(a - b); ties take the b branch."""
+    return add(b, relu(add(a, neg(b))))
+
+
+def clamp(a: Node, lo: float, hi: float) -> Node:
+    """Piecewise-linear clamp to [lo, hi] with unit gradient inside."""
+    return constant(lo) + relu(a - lo) - relu(a - hi)
+
+
+# ---------------------------------------------------------------------------
 # the VAE built op by op as an autodiff graph
 # ---------------------------------------------------------------------------
 # The model used to train through this graph: one node per matmul, bias add,
@@ -224,29 +375,207 @@ def brute_soft_ece(rs, corrects, n_bins, temperature, order) -> float:
 # are the model's own, so ``backward`` fills the model's gradient buffer.
 
 def _graph_encode(params, x):
-    h = ad.tanh(x @ params["enc.w1"] + params["enc.b1"])
-    mu = h @ params["enc.w_mu"] + params["enc.b_mu"]
-    lv = ad.clamp(h @ params["enc.w_lv"] + params["enc.b_lv"], LOGVAR_MIN, LOGVAR_MAX)
+    h = tanh(matmul(x, params["enc.w1"]) + params["enc.b1"])
+    mu = matmul(h, params["enc.w_mu"]) + params["enc.b_mu"]
+    lv = clamp(matmul(h, params["enc.w_lv"]) + params["enc.b_lv"], LOGVAR_MIN, LOGVAR_MAX)
     return mu, lv
 
 
 def _graph_decode(params, z):
-    h = ad.tanh(z @ params["dec.w1"] + params["dec.b1"])
-    return ad.sigmoid(h @ params["dec.w2"] + params["dec.b2"])
+    h = tanh(matmul(z, params["dec.w1"]) + params["dec.b1"])
+    return sigmoid(matmul(h, params["dec.w2"]) + params["dec.b2"])
 
 
 def _graph_classify(params, z):
-    h = ad.tanh(z @ params["clf.w1"] + params["clf.b1"])
-    return ad.softmax(h @ params["clf.w2"] + params["clf.b2"])
+    h = tanh(matmul(z, params["clf.w1"]) + params["clf.b1"])
+    return softmax(matmul(h, params["clf.w2"]) + params["clf.b2"])
 
 
 def graph_vae_forward(model, x, rng=None, sample_latent=False):
     """``model.forward`` as one autodiff node per operation."""
-    mu, lv = _graph_encode(model.params, ad.constant(np.asarray(x, dtype=np.float64)))
+    mu, lv = _graph_encode(model.params, constant(np.asarray(x, dtype=np.float64)))
     if sample_latent:
-        eps = ad.constant(rng.standard_normal(mu.value.shape))
-        z = mu + ad.exp(lv * 0.5) * eps
+        eps = constant(rng.standard_normal(mu.value.shape))
+        z = mu + exp(lv * 0.5) * eps
     else:
         z = mu
     return ForwardResult(xhat=_graph_decode(model.params, z), mu_z=mu, logvar_z=lv,
                          z=z, probs=_graph_classify(model.params, z))
+
+
+# ---------------------------------------------------------------------------
+# the loss heads built op by op as an autodiff graph
+# ---------------------------------------------------------------------------
+# The training losses used to be built from these graphs. They are the
+# reference that the fused loss heads of calibtrain.losses and
+# calibtrain.model must match bitwise, in value and in every gradient.
+
+class GraphBatchView(BatchView):
+    """A batch view whose probability columns are graph nodes, one per
+    column kind, cached so that every use of a column shares its node."""
+
+    def _col(self, key: str, mask: np.ndarray) -> Node:
+        cache = self.__dict__.setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = nsum(self.probs * constant(mask), axis=1)
+        return cache[key]
+
+    def r(self) -> Node:
+        onehot = np.zeros((self.n, 2))
+        onehot[np.arange(self.n), self.predicted] = 1.0
+        return self._col("r", onehot)
+
+    def prob_pos(self) -> Node:
+        return self._col("pos", np.broadcast_to([0.0, 1.0], (self.n, 2)).copy())
+
+    def prob_neg(self) -> Node:
+        return self._col("neg", np.broadcast_to([1.0, 0.0], (self.n, 2)).copy())
+
+    def true_prob(self) -> Node:
+        onehot = np.zeros((self.n, 2))
+        onehot[np.arange(self.n), self.labels] = 1.0
+        return self._col("true", onehot)
+
+
+def graph_batch_view(batch: BatchView) -> GraphBatchView:
+    return GraphBatchView(probs=batch.probs, labels=batch.labels, predicted=batch.predicted,
+                          correct=batch.correct, epistemic_conf=batch.epistemic_conf)
+
+
+def graph_reconstruction_loss(x, xhat: Node) -> Node:
+    x = np.asarray(x, dtype=np.float64)
+    xc = constant(x)
+    per_entry = xc * log(xhat) + (constant(1.0 - x)) * log(constant(1.0) - xhat)
+    return -mean(per_entry)
+
+
+def graph_kl_loss(mu: Node, logvar: Node) -> Node:
+    inner = constant(1.0) + logvar - mu * mu - exp(logvar)
+    per_sample = nsum(inner, axis=1)
+    n = per_sample.value.size
+    return nsum(per_sample) * (-0.5 / n)
+
+
+def graph_classifier_bce(batch: GraphBatchView) -> Node:
+    return -mean(log(batch.true_prob()))
+
+
+def graph_weighted_classifier_loss(batch: GraphBatchView, weight_floor: float) -> Node:
+    weights = confidence_weights(batch, weight_floor)[:, None]
+    return -mean(constant(weights) * log(batch.true_prob()))
+
+
+def graph_paired_confidence_loss(batch: GraphBatchView, margin: float) -> Node:
+    total: Node | None = None
+    for side_prob, side_mask in ((batch.prob_pos(), batch.predicted == 1),
+                                 (batch.prob_neg(), batch.predicted == 0)):
+        inc = (side_mask & ~batch.correct).astype(np.float64)[:, None]
+        cor = (side_mask & batch.correct).astype(np.float64)[:, None]
+        n_inc = inc.sum()
+        if n_inc == 0 or cor.sum() == 0:
+            continue
+        diff = side_prob - transpose(side_prob)          # diff[i, j] = P_i - P_j
+        hinge = relu(diff + margin)
+        pair_mask = constant(inc @ cor.T)                # 1 where (i inc, j cor)
+        side = nsum(hinge * pair_mask) * (1.0 / n_inc)
+        total = side if total is None else total + side
+    return total if total is not None else constant(0.0)
+
+
+def graph_probability_loss(batch: GraphBatchView) -> Node:
+    pos = (batch.labels == 1).astype(np.float64)[:, None]
+    neg_ = (batch.labels == 0).astype(np.float64)[:, None]
+    total: Node | None = None
+    if pos.sum() > 0:
+        total = nsum(batch.prob_neg() * constant(pos)) * (1.0 / pos.sum())
+    if neg_.sum() > 0:
+        term = nsum(batch.prob_pos() * constant(neg_)) * (1.0 / neg_.sum())
+        total = term if total is None else total + term
+    return total if total is not None else constant(0.0)
+
+
+def graph_avuc_loss(batch: GraphBatchView, threshold: float) -> Node:
+    r = batch.r()
+    ent = -nsum(batch.probs * log(batch.probs), axis=1)
+    u = ent * (1.0 / math.log(2.0))
+    tu = tanh(u)
+    certain = (u.value < threshold).astype(np.float64)
+    acc = batch.correct.astype(np.float64)[:, None]
+    m_ac = constant(acc * certain)
+    m_au = constant(acc * (1.0 - certain))
+    m_ic = constant((1.0 - acc) * certain)
+    m_iu = constant((1.0 - acc) * (1.0 - certain))
+    one = constant(1.0)
+    n_ac = nsum(m_ac * r * (one - tu))
+    n_au = nsum(m_au * r * tu)
+    n_ic = nsum(m_ic * (one - r) * (one - tu))
+    n_iu = nsum(m_iu * (one - r) * tu)
+    ratio = div(n_au + n_ic, n_ac + n_iu + EPS)
+    return log(one + ratio)
+
+
+def graph_soft_ece_loss(batch: GraphBatchView, n_bins: int, temperature: float,
+                        norm_order: float) -> Node:
+    r = batch.r()
+    centers = (np.arange(n_bins) + 0.5) / n_bins
+    diff = r - constant(centers[None, :])                # (n, M)
+    membership = softmax(diff * diff * (-1.0 / temperature))
+    acc = constant(batch.correct.astype(np.float64)[:, None])
+    b = nsum(membership, axis=0)                         # (1, M) soft counts
+    denom = b + EPS
+    a_m = div(nsum(membership * acc, axis=0), denom)
+    r_m = div(nsum(membership * r, axis=0), denom)
+    weights = b * (1.0 / batch.n)
+    inner = nsum(weights * power(absolute(a_m - r_m), norm_order))
+    return power(inner, 1.0 / norm_order)
+
+
+def graph_mmce_loss(batch: GraphBatchView, kernel_width: float) -> Node:
+    r = batch.r()
+    k = exp(absolute(r - transpose(r)) * (-1.0 / kernel_width))   # (n, n)
+    cor = batch.correct.astype(np.float64)[:, None]
+    inc = 1.0 - cor
+    m = cor.sum()
+    n_inc = inc.sum()
+    total: Node | None = None
+    if n_inc > 0:
+        u = r * constant(inc)
+        total = nsum(u * matmul(k, u)) * (1.0 / n_inc ** 2)
+    if m > 0:
+        v = (constant(1.0) - r) * constant(cor)
+        term = nsum(v * matmul(k, v)) * (1.0 / m ** 2)
+        total = term if total is None else total + term
+    if m > 0 and n_inc > 0:
+        u = r * constant(inc)
+        v = (constant(1.0) - r) * constant(cor)
+        total = total + nsum(v * matmul(k, u)) * (-2.0 / (m * n_inc))
+    assert total is not None
+    return power(relu(total), 0.5)
+
+
+def graph_regularizer(batch: GraphBatchView, spec) -> Node:
+    if spec.strategy == "paired_confidence":
+        return graph_paired_confidence_loss(batch, spec.margin)
+    if spec.strategy == "probability":
+        return graph_probability_loss(batch)
+    if spec.strategy == "avuc":
+        return graph_avuc_loss(batch, spec.avuc_threshold)
+    if spec.strategy == "soft_ece":
+        return graph_soft_ece_loss(batch, spec.n_bins, spec.temperature, spec.norm_order)
+    return graph_mmce_loss(batch, spec.kernel_width)
+
+
+def graph_total_loss(x, result: ForwardResult, labels, spec, epistemic_conf=None):
+    """``losses.total_loss`` as one autodiff node per operation."""
+    batch = graph_batch_view(make_batch_view(result.probs, labels, epistemic_conf))
+    loss = graph_reconstruction_loss(x, result.xhat)
+    if spec.lambda_kl != 0.0:
+        loss = loss + graph_kl_loss(result.mu_z, result.logvar_z) * spec.lambda_kl
+    if spec.lambda_c != 0.0:
+        if spec.strategy == "confidence_weight":
+            loss = loss + graph_weighted_classifier_loss(batch, spec.weight_floor) * spec.lambda_c
+        else:
+            loss = loss + graph_classifier_bce(batch) * spec.lambda_c
+    if spec.strategy not in ("baseline", "confidence_weight") and spec.lambda_n != 0.0:
+        loss = loss + graph_regularizer(batch, spec) * spec.lambda_n
+    return loss, batch

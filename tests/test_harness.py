@@ -1,6 +1,7 @@
 """Harness tests: config, training loop, selection, grid search, suite, CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -431,3 +432,45 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["generate-data", "--set", "badformat"]) == 2
     assert main(["generate-data", "--set", "epochz=3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_suite_prints_progress_per_cell(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sizes": [80, 40, 40], "epochs": 1, "batch_size": 20, "seeds": [0, 1],
+        "n_uncertainty": 3, "suite": [{"strategy": "baseline"}, EXPLODING],
+    }))
+    code = main(["suite", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    progress = err.strip().splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in progress] == [
+        "[1/4] baseline seed 0 ok", "[2/4] baseline seed 1 ok",
+        "[3/4] mmce seed 0 FAILED", "[4/4] mmce seed 1 FAILED"]
+    assert all(re.fullmatch(r"\d+\.\ds", line.rsplit(" ", 1)[1]) for line in progress)
+    assert not any(line.startswith("[") for line in out.splitlines())
+
+
+GOOD_TABLE = "bin,lower,upper,count,conf,acc\n0,0.0,0.5,2,0.4,0.5\n1,0.5,1.0,3,0.8,0.6667\n"
+
+
+@pytest.mark.parametrize("bad_table,problem", [
+    ("bin,lower,upper,count,conf,acc\n0,0.0,0.5,2,0.4,0.5,9\n", "line 2 has 7 columns"),
+    ("bin,lower,upper,count,conf,acc\n", "no bins"),
+    ("bin,lower,upper,count,conf,acc\n0,0.0,0.5,two,0.4,0.5\n", "line 2"),
+])
+def test_cli_plot_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
+    rel = tmp_path / "reliability"
+    rel.mkdir()
+    (rel / "baseline_equal_width.csv").write_text(GOOD_TABLE)
+    bad = rel / "soft_ece_adaptive.csv"
+    bad.write_text(bad_table)
+    assert main(["plot", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"error: {bad}: ") and problem in err
+    assert not list(rel.glob("*.svg")) and out == ""
+    bad.unlink()
+    assert main(["plot", str(tmp_path)]) == 0
+    assert (rel / "baseline_equal_width.svg").exists()

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from calibtrain.autodiff import backward, constant
+from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
+from calibtrain.data import labels as split_labels
+from calibtrain.harness.config import DEFAULT_SUITE
 from calibtrain.losses import (
     BatchView,
     LossSpec,
@@ -20,9 +24,15 @@ from calibtrain.losses import (
     weighted_classifier_loss,
 )
 from calibtrain.metrics import ece, records_from_probs
-from calibtrain.model import VaeClassifier
+from calibtrain.model import VaeClassifier, kl_loss, reconstruction_loss
+from calibtrain.uncertainty import epistemic_batch
 from oracles import (
     FD_STEP,
+    graph_batch_view,
+    graph_kl_loss,
+    graph_reconstruction_loss,
+    graph_total_loss,
+    graph_vae_forward,
     brute_mmce,
     brute_paired_confidence,
     brute_probability_loss,
@@ -101,9 +111,9 @@ def test_batch_view_fields():
     b = view([0.9, 0.3, 0.5], [1, 1, 0])
     assert list(b.predicted) == [1, 0, 0]  # tie goes to class 0
     assert list(b.correct) == [True, False, True]
-    assert np.allclose(b.r().value.ravel(), [0.9, 0.7, 0.5])
-    assert np.allclose(b.prob_pos().value.ravel(), [0.9, 0.3, 0.5])
-    assert np.allclose(b.true_prob().value.ravel(), [0.9, 0.3, 0.5])
+    assert np.allclose(b.r().ravel(), [0.9, 0.7, 0.5])
+    assert np.allclose(b.prob_pos().ravel(), [0.9, 0.3, 0.5])
+    assert np.allclose(b.true_prob().ravel(), [0.9, 0.3, 0.5])
 
 
 def test_batch_view_validation():
@@ -448,3 +458,174 @@ def test_composite_gradient_fd(strategy):
         p.value[:] = base_vals
         fd = (hi - lo) / (2 * FD_STEP)
         assert rel_error(analytic, fd) < 1e-4, (strategy, name)
+
+
+# -- fused heads against the op-by-op graph ------------------------------------------
+
+@pytest.fixture(scope="module")
+def scaled_batch():
+    split = generate_gaussian_mixture(sizes=(250, 10, 10), seed=4)
+    return FeatureScaler().fit_transform(features(split.train)), split_labels(split.train)
+
+
+def _spread_model():
+    """Default-sized model far enough off its init that every strategy sees
+    correct and incorrect predictions."""
+    model = VaeClassifier(d=8, seed=3)
+    rng = np.random.default_rng(8)
+    for _, node in model.params.items():
+        node.value += rng.normal(0.0, 1.0, node.value.shape)
+    return model
+
+
+def _check_against_graph_reference(scaled_batch, spec, n, sample_latent):
+    x, g = scaled_batch[0][:n], scaled_batch[1][:n]
+    model = _spread_model()
+    conf = None
+    if spec.strategy == "confidence_weight":
+        conf = epistemic_batch(model, x, n=5, rng=np.random.default_rng(7))
+
+    def run(forward, loss_fn):
+        model.params.zero_grad()
+        out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
+        loss, batch = loss_fn(x, out, g, spec, epistemic_conf=conf)
+        backward(loss)
+        return loss.value, batch, {name: p.grad.copy() for name, p in model.params.items()}
+
+    value, batch, grads = run(VaeClassifier.forward, total_loss)
+    ref_value, _, ref_grads = run(graph_vae_forward, graph_total_loss)
+    assert 0 < batch.correct.sum() < n            # both kinds of sample present
+    assert value == ref_value
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert any(np.any(grad != 0.0) for grad in grads.values())
+
+
+@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+@pytest.mark.parametrize("n", [25, 250])
+@pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
+def test_fused_heads_match_graph_reference_bitwise(scaled_batch, entry, n, sample_latent):
+    _check_against_graph_reference(scaled_batch, LossSpec.from_dict(dict(entry)), n,
+                                   sample_latent)
+
+
+@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+@pytest.mark.parametrize("weights", [(0.0, 0.001), (3.0, 0.0), (0.0, 0.0)],
+                         ids=["no_classifier", "no_kl", "neither"])
+@pytest.mark.parametrize("strategy", ["avuc", "mmce"])
+def test_fused_heads_match_graph_reference_with_zero_weights(scaled_batch, strategy, weights,
+                                                             sample_latent):
+    # a dropped term changes which path reaches mu, logvar and z first
+    spec = LossSpec(strategy=strategy, lambda_c=weights[0], lambda_kl=weights[1])
+    _check_against_graph_reference(scaled_batch, spec, 25, sample_latent)
+
+
+BANNED_OPS = {"log", "mean", "sum", "transpose", "relu", "exp", "softmax", "power", "abs"}
+
+
+@pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
+def test_loss_graph_holds_fused_terms_only(scaled_batch, entry):
+    x, g = scaled_batch[0][:25], scaled_batch[1][:25]
+    spec = LossSpec.from_dict(dict(entry))
+    model = _spread_model()
+    conf = np.full(25, 0.5) if spec.strategy == "confidence_weight" else None
+    out = model.forward(x, rng=np.random.default_rng(0), sample_latent=True)
+    loss, _ = total_loss(x, out, g, spec, epistemic_conf=conf)
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    ops = {node.op for node in seen.values()}
+    assert not ops & BANNED_OPS
+    # the loss node's parents are the terms; beyond them sit the 7 model nodes
+    classifier = ("weighted_classifier" if spec.strategy == "confidence_weight"
+                  else "classifier_bce")
+    regularizer = () if spec.strategy in ("baseline", "confidence_weight") else (spec.strategy,)
+    terms = ("reconstruction", "kl", classifier, *regularizer)
+    assert loss.op == "total" and tuple(t.op for t in loss.parents) == terms
+    assert len(seen) == 1 + len(terms) + 7
+
+
+# Degenerate batches as (P(g=1), labels): the fused terms must equal the graph
+# terms bitwise, in value and in the gradient of the probabilities.
+def _mixed(n, seed):
+    rng = np.random.default_rng(seed)
+    return list(rng.uniform(0.001, 0.999, n)), list((rng.random(n) < 0.5).astype(int))
+
+
+DEGENERATE = {
+    "all_correct": ([0.9, 0.2, 0.7, 0.1, 0.6], [1, 0, 1, 0, 1]),
+    "all_wrong": ([0.9, 0.2, 0.7, 0.1, 0.6], [0, 1, 0, 1, 0]),
+    "one_side_empty": ([0.9, 0.6, 0.8, 0.7, 0.55], [1, 0, 1, 0, 0]),
+    "single_class": ([0.9, 0.3, 0.6, 0.2, 0.45], [1, 1, 1, 1, 1]),
+    "log_floor": ([1.0, 0.0, 0.5, 1e-13, 1.0 - 1e-16], [0, 1, 1, 1, 1]),
+    "single_sample": ([0.3], [1]),
+    "mixed": _mixed(40, 12),
+    "mixed_large": _mixed(400, 13),
+}
+TERMS = {
+    "classifier_bce": (classifier_bce, oracles.graph_classifier_bce, ()),
+    "weighted": (weighted_classifier_loss, oracles.graph_weighted_classifier_loss, (0.3,)),
+    "paired": (paired_confidence_loss, oracles.graph_paired_confidence_loss, (0.6,)),
+    "paired_narrow": (paired_confidence_loss, oracles.graph_paired_confidence_loss, (0.1,)),
+    "probability": (probability_loss, oracles.graph_probability_loss, ()),
+    "avuc_certain": (avuc_loss, oracles.graph_avuc_loss, (1.0,)),
+    "avuc_uncertain": (avuc_loss, oracles.graph_avuc_loss, (0.0,)),
+    "avuc_split": (avuc_loss, oracles.graph_avuc_loss, (0.6,)),
+    "soft_ece": (soft_ece_loss, oracles.graph_soft_ece_loss, (15, 0.1, 2.0)),
+    "soft_ece_l1": (soft_ece_loss, oracles.graph_soft_ece_loss, (10, 0.05, 1.0)),
+    "mmce": (mmce_loss, oracles.graph_mmce_loss, (0.4,)),
+}
+
+
+@pytest.mark.parametrize("term", sorted(TERMS))
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_fused_terms_match_graph_terms_on_degenerate_batches(case, term):
+    prob_pos, labels = DEGENERATE[case]
+    fused, graph, args = TERMS[term]
+    p = np.asarray(prob_pos, dtype=np.float64)
+    probs = np.stack([1.0 - p, p], axis=1)
+    epi = np.random.default_rng(14).random(len(p))
+
+    def run(view, bce, build):
+        # the classifier term feeds the probabilities first, as in training,
+        # so the order of the term's own parts shows in the sums
+        leaf = oracles.param(probs)
+        batch = view(make_batch_view(leaf, np.asarray(labels), epistemic_conf=epi))
+        node = build(batch)
+        backward(bce(batch) + node * 0.7)
+        return node.value, leaf.grad
+
+    value, grad = run(lambda b: b, classifier_bce, lambda b: fused(b, *args))
+    ref_value, ref_grad = run(graph_batch_view, oracles.graph_classifier_bce,
+                              lambda b: graph(b, *args))
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_avuc_partitions_cover_both_extremes():
+    # on the large mixed batch the avuc thresholds 1.0, 0.6 and 0.0 mark
+    # every sample certain, some, and none
+    p = np.asarray(DEGENERATE["mixed_large"][0])
+    u = -(p * np.log(p) + (1 - p) * np.log(1 - p)) / math.log(2.0)
+    assert np.all(u < 1.0) and not np.all(u < 0.6) and not np.any(u < 0.0)
+
+
+@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+def test_vae_terms_match_graph_terms_bitwise(scaled_batch, sample_latent):
+    x = scaled_batch[0][:25]
+    model = _spread_model()
+
+    def run(recon, kl):
+        model.params.zero_grad()
+        out = model.forward(x, rng=np.random.default_rng(3), sample_latent=sample_latent)
+        loss = recon(x, out.xhat) + kl(out.mu_z, out.logvar_z) * 0.25
+        backward(loss)
+        return loss.value, model.params.grad.copy()
+
+    value, grad = run(reconstruction_loss, kl_loss)
+    ref_value, ref_grad = run(graph_reconstruction_loss, graph_kl_loss)
+    assert value == ref_value
+    assert np.array_equal(grad, ref_grad)

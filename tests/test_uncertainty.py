@@ -4,7 +4,7 @@ import pytest
 from calibtrain.data import FeatureScaler, Sample, features, generate_gaussian_mixture, perturb
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
-    VOTE_CHUNK,
+    VOTE_ROWS,
     UncertaintyEstimate,
     aleatoric,
     epistemic,
@@ -223,9 +223,9 @@ def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
 @pytest.mark.parametrize("n", [1, 7])
 @pytest.mark.parametrize("scaled", [False, True])
 def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
-    split = generate_gaussian_mixture(sizes=(30, 10, 2 * VOTE_CHUNK + 44), d=2,
+    split = generate_gaussian_mixture(sizes=(30, 10, VOTE_ROWS + 44), d=2,
                                       separation=1.0, seed=5)
-    assert len(split.test) % VOTE_CHUNK != 0
+    assert len(split.test) % max(1, VOTE_ROWS // n) != 0   # a ragged last chunk
     m = sign_model()
     m.params["enc.b_lv"].value[:] = -1.0   # latent spread that splits some votes
     scaler = FeatureScaler().fit(features(split.train)) if scaled else None
@@ -264,3 +264,50 @@ def test_epistemic_batch_degenerate_variance():
     c = epistemic_batch(m, xs, n=50, rng=np.random.default_rng(8))
     det = np.argmax(m.predict_probs(xs), axis=1)
     assert np.array_equal(c, det.astype(float))
+
+
+def per_pass_epistemic_batch(model, xs, n, rng):
+    """One (b, latent) draw and one classifier pass per vote."""
+    mu, lv = model.encode_values(xs)
+    counts = (np.argmax(model.classify_values(mu), axis=1) == 1).astype(np.float64)
+    for _ in range(n - 1):
+        z = mu + np.exp(lv / 2.0) * rng.standard_normal(mu.shape)
+        counts += np.argmax(model.classify_values(z), axis=1) == 1
+    return counts / n
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("b", [1, 25, 26, 250, 513])
+def test_epistemic_batch_blocks_match_per_pass_loop(b, n):
+    m = VaeClassifier(d=3, hidden=8, latent=2, seed=1)
+    rng = np.random.default_rng(4)
+    for _, node in m.params.items():
+        node.value[...] = rng.normal(0.0, 0.8, node.value.shape)
+    m.params["enc.b_lv"].value[:] = 1.0   # wide latent draws
+    xs = np.random.default_rng(b).uniform(0.0, 1.0, (b, 3))
+    got = epistemic_batch(m, xs, n=n, rng=np.random.default_rng((b, n)))
+    want = per_pass_epistemic_batch(m, xs, n, np.random.default_rng((b, n)))
+    assert np.array_equal(got, want)
+    if n == 20 and b >= 25:
+        assert np.any((got > 0.0) & (got < 1.0))   # the latent draws split votes
+
+
+def test_votes_cast_in_blocks_of_at_most_vote_rows(monkeypatch):
+    m = sign_model()
+    rows = []
+    classify = m.classify_values
+
+    def counting(z):
+        rows.append(len(z))
+        return classify(z)
+
+    monkeypatch.setattr(m, "classify_values", counting)
+    split = generate_gaussian_mixture(sizes=(30, 10, 600), d=2, seed=6)
+    uncertainty_records(m, split, "epistemic", n=7)
+    chunk = VOTE_ROWS // 7
+    assert rows == [chunk * 7] * (600 // chunk) + [600 % chunk * 7]
+    rows.clear()
+    xs = np.random.default_rng(6).uniform(-1, 1, (250, 2))
+    epistemic_batch(m, xs, n=20, rng=np.random.default_rng(7))
+    # the deterministic pass, then 19 latent passes two at a time
+    assert rows == [250] + [500] * 9 + [250]
