@@ -6,6 +6,9 @@ a logistic function of x[0] (shifted by the log prior ratio when classes are
 imbalanced), which gives an exact calibration target. Label noise flips each
 label with a fixed rate and adjusts the stored posterior accordingly, so the
 recorded posterior always matches the label-generating process.
+
+Each split is one ``Subset`` of read-only arrays: features ``x`` (n, d),
+labels ``g`` (n,) and the analytic posterior P(g=1 | x) (n,).
 """
 
 from __future__ import annotations
@@ -16,50 +19,56 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import _sigmoid_values
 
-@dataclass
-class Sample:
-    x: np.ndarray
-    g: int
-    true_posterior: float
+
+@dataclass(frozen=True, eq=False)
+class Subset:
+    """The samples of one split as arrays, marked read-only on construction."""
+
+    x: np.ndarray          # (n, d) features
+    g: np.ndarray          # (n,) int64 labels
+    posterior: np.ndarray  # (n,) P(g=1 | x)
+
+    def __post_init__(self):
+        for values in (self.x, self.g, self.posterior):
+            values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def take(self, rows) -> "Subset":
+        """The subset of the given rows (a slice or an index array)."""
+        return Subset(self.x[rows], self.g[rows], self.posterior[rows])
 
 
 @dataclass
 class DataSplit:
-    train: list[Sample]
-    validation: list[Sample]
-    test: list[Sample]
+    train: Subset
+    validation: Subset
+    test: Subset
     seed: int
     params: dict = field(default_factory=dict)
 
     def class_counts(self) -> dict[str, tuple[int, int]]:
         out = {}
         for name in ("train", "validation", "test"):
-            samples = getattr(self, name)
-            pos = sum(s.g for s in samples)
-            out[name] = (len(samples) - pos, pos)
+            part = getattr(self, name)
+            pos = int(part.g.sum())
+            out[name] = (len(part) - pos, pos)
         return out
 
 
-def features(samples: list[Sample]) -> np.ndarray:
-    return np.stack([s.x for s in samples])
+def features(part: Subset) -> np.ndarray:
+    return part.x
 
 
-def labels(samples: list[Sample]) -> np.ndarray:
-    return np.array([s.g for s in samples], dtype=np.int64)
+def labels(part: Subset) -> np.ndarray:
+    return part.g
 
 
-def posteriors(samples: list[Sample]) -> np.ndarray:
-    return np.array([s.true_posterior for s in samples])
-
-
-def _stable_logistic(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+def posteriors(part: Subset) -> np.ndarray:
+    return part.posterior
 
 
 def generate_gaussian_mixture(
@@ -97,18 +106,18 @@ def generate_gaussian_mixture(
     x[:, 0] += np.where(component, separation / 2.0, -separation / 2.0)
 
     prior_logit = np.log(positive_fraction / (1.0 - positive_fraction))
-    p_clean = _stable_logistic(separation * x[:, 0] + prior_logit)
+    p_clean = _sigmoid_values(separation * x[:, 0] + prior_logit)
     g = (rng.random(n) < p_clean).astype(np.int64)
     flips = rng.random(n) < noise_rate
     g = np.where(flips, 1 - g, g)
     p_noisy = p_clean * (1.0 - noise_rate) + (1.0 - p_clean) * noise_rate
 
-    samples = [Sample(x[i], int(g[i]), float(p_noisy[i])) for i in range(n)]
     n_train, n_val, n_test = (int(s) for s in sizes)
+    every = Subset(x, g, p_noisy)
     split = DataSplit(
-        train=samples[:n_train],
-        validation=samples[n_train:n_train + n_val],
-        test=samples[n_train + n_val:n_train + n_val + n_test],
+        train=every.take(slice(0, n_train)),
+        validation=every.take(slice(n_train, n_train + n_val)),
+        test=every.take(slice(n_train + n_val, n_train + n_val + n_test)),
         seed=int(seed),
         params={
             "sizes": [n_train, n_val, n_test],
@@ -118,25 +127,13 @@ def generate_gaussian_mixture(
             "positive_fraction": float(positive_fraction),
         },
     )
-    for name, samples_ in (("train", split.train), ("validation", split.validation),
-                           ("test", split.test)):
-        present = {s.g for s in samples_}
-        if present != {0, 1}:
+    for name, (neg, pos) in split.class_counts().items():
+        if not (neg and pos):
             raise ValueError(
                 f"split {name!r} is missing a class (seed {seed}); "
                 "enlarge the split or change the seed"
             )
     return split
-
-
-def perturb(sample: Sample, sigma: float, rng: np.random.Generator) -> Sample:
-    """Additive Gaussian input noise; label and recorded posterior unchanged."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return Sample(sample.x.copy(), sample.g, sample.true_posterior)
-    return Sample(sample.x + rng.standard_normal(sample.x.shape) * sigma,
-                  sample.g, sample.true_posterior)
 
 
 class FeatureScaler:
@@ -180,14 +177,14 @@ def _fmt(value: float) -> str:
 def write_split(split: DataSplit, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    d = split.params.get("d", len(split.train[0].x))
+    d = split.params.get("d", split.train.x.shape[1])
     header = ",".join([f"x{i}" for i in range(d)] + ["label", "posterior"])
-    for name, samples in (("train", split.train), ("validation", split.validation),
-                          ("test", split.test)):
+    for name in ("train", "validation", "test"):
+        part = getattr(split, name)
         lines = [header]
-        for s in samples:
-            cells = [_fmt(v) for v in s.x] + [str(s.g), _fmt(s.true_posterior)]
-            lines.append(",".join(cells))
+        for x, g, posterior in zip(part.x.tolist(), part.g.tolist(),
+                                   part.posterior.tolist()):
+            lines.append(",".join([_fmt(v) for v in x] + [str(g), _fmt(posterior)]))
         (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
     manifest = {
         "seed": split.seed,
@@ -201,14 +198,14 @@ def read_split(in_dir: str | Path) -> DataSplit:
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
 
-    def load(name: str) -> list[Sample]:
-        lines = (src / f"{name}.csv").read_text().strip().split("\n")
-        samples = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            x = np.array([float(c) for c in cells[:-2]])
-            samples.append(Sample(x, int(cells[-2]), float(cells[-1])))
-        return samples
+    def load(name: str) -> Subset:
+        header, *lines = (src / f"{name}.csv").read_text().strip().split("\n")
+        rows = [line.split(",") for line in lines]
+        d = len(header.split(",")) - 2
+        x = np.array([[float(c) for c in row[:-2]] for row in rows]).reshape(len(rows), d)
+        g = np.array([int(row[-2]) for row in rows], dtype=np.int64)
+        posterior = np.array([float(row[-1]) for row in rows])
+        return Subset(x, g, posterior)
 
     return DataSplit(train=load("train"), validation=load("validation"),
                      test=load("test"), seed=manifest["seed"],

@@ -104,7 +104,6 @@ def cmd_train(args) -> int:
         entry, params = select_model(history, criterion)
         model = VaeClassifier(d=config.d, hidden=config.hidden,
                               latent=config.latent, seed=seed)
-        assert params is not None
         model.params.load_values(params)
         save_checkpoint(model, out / "checkpoints" / criterion, epoch=entry.epoch,
                         extra={"criterion": criterion, "strategy": spec.strategy,
@@ -202,6 +201,10 @@ RELIABILITY_COLUMNS = 6   # bin, lower, upper, count, conf, acc
 
 def _table_from_csv(path: Path) -> BinTable:
     """A reliability table read back from its CSV; ValueError names the file."""
+    scheme = next((s for s in ("equal_width", "adaptive")
+                   if path.stem.endswith(f"_{s}")), None)
+    if scheme is None:
+        raise ValueError(f"{path}: the name ends in neither _equal_width nor _adaptive")
     lines = path.read_text().splitlines()[1:]
     if not lines:
         raise ValueError(f"{path}: no bins, only a header")
@@ -218,7 +221,6 @@ def _table_from_csv(path: Path) -> BinTable:
                             conf=opt(conf), acc=opt(acc)))
         except ValueError as err:
             raise ValueError(f"{path}: line {row}: {err}") from None
-    scheme = "equal_width" if path.stem.endswith("_equal_width") else "adaptive"
     n = sum(b.count for b in bins)
     return BinTable(scheme=scheme, m=len(bins), n=n, bins=bins)
 

@@ -41,8 +41,8 @@ class GridResult:
 def _fold_splits(split: DataSplit, data_seed: int) -> list[DataSplit]:
     order = np.random.default_rng((data_seed, 5)).permutation(len(split.train))
     half = len(split.train) // 2
-    a = [split.train[i] for i in order[:half]]
-    b = [split.train[i] for i in order[half:]]
+    a = split.train.take(order[:half])
+    b = split.train.take(order[half:])
     mk = lambda tr, va: DataSplit(train=tr, validation=va, test=split.test,
                                   seed=split.seed, params=split.params)
     return [mk(a, b), mk(b, a)]

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..data import DataSplit, FeatureScaler, features, generate_gaussian_mixture, labels
+from ..data import DataSplit, FeatureScaler, generate_gaussian_mixture
 from ..losses import LossSpec
 from ..metrics import (
-    PredictionRecord,
+    Predictions,
     aece,
     brier,
     classification_metrics,
@@ -59,14 +59,14 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def metric_row(records: list[PredictionRecord], m: int = 15) -> dict:
-    cls = classification_metrics(records)
+def metric_row(preds: Predictions, m: int = 15) -> dict:
+    cls = classification_metrics(preds)
     return {
-        "ece": ece(records, m),
-        "aece": aece(records, m),
-        "oe": oe(records, m),
-        "mce": mce(records, m),
-        "bs": brier(records),
+        "ece": ece(preds, m),
+        "aece": aece(preds, m),
+        "oe": oe(preds, m),
+        "mce": mce(preds, m),
+        "bs": brier(preds),
         "sen": cls["sensitivity"],
         "spe": cls["specificity"],
         "bacc": cls["bacc"],
@@ -81,7 +81,7 @@ class CellResult:
     seed: int
     selected_epoch: dict            # criterion -> epoch index
     metrics: dict                   # criterion -> mode -> metric dict
-    test_records: dict              # criterion -> softmax PredictionRecords
+    test_records: dict              # criterion -> softmax Predictions
     failed: bool = False
     failure: str | None = None
     epochs: list = field(default_factory=list)
@@ -124,7 +124,6 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
         if entry.epoch not in evaluated:
             model = VaeClassifier(d=config.d, hidden=config.hidden,
                                   latent=config.latent, seed=seed)
-            assert params is not None
             model.params.load_values(params)
             softmax_records = evaluate_records(model, x_test, g_test)
             epi = uncertainty_records(model, split, "epistemic", scaler=scaler,
@@ -147,9 +146,9 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
         sizes=config.sizes, d=config.d, separation=config.separation,
         noise_rate=config.noise_rate, positive_fraction=config.positive_fraction,
         seed=config.data_seed)
-    scaler = FeatureScaler().fit(features(split.train))
-    x_test = scaler.transform(features(split.test))
-    g_test = labels(split.test)
+    scaler = FeatureScaler().fit(split.train.x)
+    x_test = scaler.transform(split.test.x)
+    g_test = split.test.g
 
     specs = [LossSpec.from_dict(dict(entry)) for entry in config.suite]
     n_cells = len(specs) * len(config.seeds)

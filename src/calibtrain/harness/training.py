@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import Adam, NonFiniteGradient, backward
-from ..data import DataSplit, FeatureScaler, features, labels
+from ..data import DataSplit, FeatureScaler
 from ..losses import LossSpec, total_loss
-from ..metrics import PredictionRecord, classification_metrics, ece, records_from_probs
+from ..metrics import Predictions, classification_metrics, ece, records_from_probs
 from ..model import NonFiniteActivation, VaeClassifier
 from ..uncertainty import epistemic_batch
 from .config import CRITERIA, ExperimentConfig
@@ -75,8 +75,8 @@ def select_model(history: EpochHistory, criterion: str):
 
 
 def evaluate_records(model: VaeClassifier, xs: np.ndarray,
-                     gs: np.ndarray) -> list[PredictionRecord]:
-    """Deterministic softmax records (z = mu) over already-scaled features."""
+                     gs: np.ndarray) -> Predictions:
+    """Deterministic softmax predictions (z = mu) over already-scaled features."""
     return records_from_probs(model.predict_probs(xs), gs)
 
 
@@ -97,11 +97,11 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
     so far and the failure message.
     """
     spec = spec if spec is not None else LossSpec.from_dict(dict(config.loss))
-    scaler = FeatureScaler().fit(features(split.train))
-    x_train = scaler.transform(features(split.train))
-    g_train = labels(split.train)
-    x_val = scaler.transform(features(split.validation))
-    g_val = labels(split.validation)
+    scaler = FeatureScaler().fit(split.train.x)
+    x_train = scaler.transform(split.train.x)
+    g_train = split.train.g
+    x_val = scaler.transform(split.validation.x)
+    g_val = split.validation.g
 
     model = VaeClassifier(d=config.d, hidden=config.hidden, latent=config.latent,
                           seed=seed)
@@ -149,11 +149,11 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
                                                np.concatenate(epoch_correct),
                                                fallback=threshold)
 
-        val_records = evaluate_records(model, x_val, g_val)
-        bacc = classification_metrics(val_records)["bacc"]
+        val_preds = evaluate_records(model, x_val, g_val)
+        bacc = classification_metrics(val_preds)["bacc"]
         entry = EpochEntry(epoch=epoch,
                            train_loss=float(np.mean(batch_losses)),
                            val_bacc=float(bacc) if bacc is not None else 0.0,
-                           val_ece=ece(val_records, 15))
+                           val_ece=ece(val_preds, 15))
         history.record(entry, model.params.copy_values)
     return history

@@ -1,15 +1,19 @@
 """Evaluation-side calibration and classification metrics.
 
-All functions here are non-differentiable reporting code operating on
-PredictionRecord lists. Binning conventions, pinned once for every consumer:
+All functions here are non-differentiable reporting code. They take one
+``Predictions`` value: arrays of the class probabilities, the predicted
+label, the true label, the confidence and the correctness of every record.
+Binning conventions, pinned once for every consumer:
 
 * equal-width: bin m covers (m/M, (m+1)/M], first bin closed at 0, so the
   index of confidence r is ceil(r*M) - 1 clamped to [0, M-1];
 * adaptive: records sorted by confidence (ties broken by original position)
   and split into M contiguous groups, the first n % M groups one larger.
 
-Empty bins contribute 0 to ECE/OE, are skipped by MCE, and appear in
-reliability tables with count 0 and absent accuracy/confidence.
+Each bin is reduced with ``np.mean`` over its records, in record order for
+equal-width bins and in sorted order for adaptive bins; Python loops run over
+the M bins only. Empty bins contribute 0 to ECE/OE, are skipped by MCE, and
+appear in reliability tables with count 0 and absent accuracy/confidence.
 
 Brier score uses the two-class summed convention, so its range is [0, 2].
 """
@@ -22,18 +26,30 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class PredictionRecord:
-    probs: np.ndarray  # [P(g=0), P(g=1)]
-    r: float           # confidence, max(probs)
-    predicted: int
-    g: int
-    correct: bool
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Per-record predictions as read-only arrays; build with ``of``."""
+
+    probs: np.ndarray      # (n, 2): [P(g=0), P(g=1)]
+    predicted: np.ndarray  # (n,) int64
+    g: np.ndarray          # (n,) int64
+    conf: np.ndarray       # (n,) confidence, max(probs)
+    correct: np.ndarray    # (n,) bool, predicted == g
+
+    @classmethod
+    def of(cls, probs: np.ndarray, predicted: np.ndarray, g: np.ndarray) -> "Predictions":
+        out = cls(probs, predicted, g, probs.max(axis=1), predicted == g)
+        for values in (out.probs, out.predicted, out.g, out.conf, out.correct):
+            values.flags.writeable = False
+        return out
+
+    def __len__(self) -> int:
+        return len(self.g)
 
 
-def records_from_probs(probs: np.ndarray, labels: np.ndarray) -> list[PredictionRecord]:
-    """Build records from an (n, 2) probability array; ties predict class 0."""
-    probs = np.array(probs, dtype=np.float64)   # a copy: records hold its rows
+def records_from_probs(probs: np.ndarray, labels: np.ndarray) -> Predictions:
+    """Predictions from an (n, 2) probability array; ties predict class 0."""
+    probs = np.array(probs, dtype=np.float64)   # a copy: the result holds it
     labels = np.asarray(labels)
     if probs.ndim != 2 or probs.shape[1] != 2:
         raise ValueError(f"expected probs of shape (n, 2), got {probs.shape}")
@@ -44,10 +60,7 @@ def records_from_probs(probs: np.ndarray, labels: np.ndarray) -> list[Prediction
     bad = (labels != 0) & (labels != 1)
     if bad.any():
         raise ValueError(f"labels must be 0 or 1, got {labels[np.argmax(bad)]!r}")
-    predicted = np.argmax(probs, axis=1).tolist()
-    return [PredictionRecord(probs=row, r=r, predicted=pred, g=g, correct=pred == g)
-            for row, r, pred, g in zip(probs, probs.max(axis=1).tolist(), predicted,
-                                       labels.astype(np.int64).tolist())]
+    return Predictions.of(probs, np.argmax(probs, axis=1), labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -78,61 +91,40 @@ class BinTable:
         return out
 
 
-def _check_bin_args(records, m):
+def equal_width_index(r, m: int):
+    """Equal-width bin of confidence r: one index, or an index array."""
+    return np.clip(np.ceil(np.multiply(r, m)).astype(np.int64) - 1, 0, m - 1)
+
+
+def reliability_table(preds: Predictions, scheme: str = "equal_width",
+                      m: int = 15) -> BinTable:
+    """Bin the records under ``scheme`` into m bins (conventions above)."""
     if m < 1:
         raise ValueError(f"number of bins must be >= 1, got {m}")
-    if not records:
+    if not len(preds):
         raise ValueError("need at least one record to bin")
-
-
-def equal_width_index(r: float, m: int) -> int:
-    idx = math.ceil(r * m) - 1
-    return min(max(idx, 0), m - 1)
-
-
-def bin_equal_width(records: list[PredictionRecord], m: int = 15) -> BinTable:
-    _check_bin_args(records, m)
-    groups: list[list[PredictionRecord]] = [[] for _ in range(m)]
-    for rec in records:
-        groups[equal_width_index(rec.r, m)].append(rec)
-    bins = []
-    for i, grp in enumerate(groups):
-        if grp:
-            conf = float(np.mean([x.r for x in grp]))
-            acc = float(np.mean([x.correct for x in grp]))
-        else:
-            conf = acc = None
-        bins.append(Bin(lower=i / m, upper=(i + 1) / m, count=len(grp),
-                        conf=conf, acc=acc))
-    return BinTable(scheme="equal_width", m=m, n=len(records), bins=bins)
-
-
-def bin_adaptive(records: list[PredictionRecord], m: int = 15) -> BinTable:
-    _check_bin_args(records, m)
-    order = sorted(range(len(records)), key=lambda i: (records[i].r, i))
-    base, rem = divmod(len(records), m)
+    if scheme == "equal_width":
+        index = equal_width_index(preds.conf, m)
+        order = np.argsort(index, kind="stable")   # record order within a bin
+        counts = np.bincount(index, minlength=m).tolist()
+    elif scheme == "adaptive":
+        order = np.argsort(preds.conf, kind="stable")   # ties by original position
+        base, rem = divmod(len(preds), m)
+        counts = [base + 1] * rem + [base] * (m - rem)
+    else:
+        raise ValueError(f"unknown binning scheme {scheme!r}")
     bins = []
     pos = 0
-    for i in range(m):
-        size = base + (1 if i < rem else 0)
-        grp = [records[j] for j in order[pos:pos + size]]
-        pos += size
-        if grp:
-            conf = float(np.mean([x.r for x in grp]))
-            acc = float(np.mean([x.correct for x in grp]))
-        else:
-            conf = acc = None
-        bins.append(Bin(lower=None, upper=None, count=len(grp), conf=conf, acc=acc))
-    return BinTable(scheme="adaptive", m=m, n=len(records), bins=bins)
-
-
-def reliability_table(records: list[PredictionRecord], scheme: str = "equal_width",
-                      m: int = 15) -> BinTable:
-    if scheme == "equal_width":
-        return bin_equal_width(records, m)
-    if scheme == "adaptive":
-        return bin_adaptive(records, m)
-    raise ValueError(f"unknown binning scheme {scheme!r}")
+    for i, count in enumerate(counts):
+        members = order[pos:pos + count]
+        pos += count
+        conf = acc = None
+        if count:
+            conf = float(np.mean(preds.conf[members]))
+            acc = float(np.mean(preds.correct[members]))
+        lower, upper = (i / m, (i + 1) / m) if scheme == "equal_width" else (None, None)
+        bins.append(Bin(lower=lower, upper=upper, count=count, conf=conf, acc=acc))
+    return BinTable(scheme=scheme, m=m, n=len(preds), bins=bins)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +139,16 @@ def _ece_of(table: BinTable) -> float:
     return total
 
 
-def ece(records: list[PredictionRecord], m: int = 15) -> float:
-    return _ece_of(bin_equal_width(records, m))
+def ece(preds: Predictions, m: int = 15) -> float:
+    return _ece_of(reliability_table(preds, "equal_width", m))
 
 
-def aece(records: list[PredictionRecord], m: int = 15) -> float:
-    return _ece_of(bin_adaptive(records, m))
+def aece(preds: Predictions, m: int = 15) -> float:
+    return _ece_of(reliability_table(preds, "adaptive", m))
 
 
-def mce(records: list[PredictionRecord], m: int = 15, scheme: str = "equal_width") -> float:
-    table = reliability_table(records, scheme, m)
+def mce(preds: Predictions, m: int = 15, scheme: str = "equal_width") -> float:
+    table = reliability_table(preds, scheme, m)
     worst = 0.0
     for b in table.bins:
         if b.count:
@@ -164,9 +156,9 @@ def mce(records: list[PredictionRecord], m: int = 15, scheme: str = "equal_width
     return worst
 
 
-def oe(records: list[PredictionRecord], m: int = 15, scheme: str = "equal_width") -> float:
+def oe(preds: Predictions, m: int = 15, scheme: str = "equal_width") -> float:
     """Overconfidence error: confidence-weighted hinge on conf - acc per bin."""
-    table = reliability_table(records, scheme, m)
+    table = reliability_table(preds, scheme, m)
     total = 0.0
     for b in table.bins:
         if b.count:
@@ -174,52 +166,46 @@ def oe(records: list[PredictionRecord], m: int = 15, scheme: str = "equal_width"
     return total
 
 
-def brier(records: list[PredictionRecord]) -> float:
-    if not records:
+def brier(preds: Predictions) -> float:
+    """Mean squared distance to the one-hot label. Each record's term is the
+    BLAS dot of its difference row with itself (a fused multiply-add there
+    can differ from ``(diff * diff).sum``); the terms are summed in order."""
+    if not len(preds):
         raise ValueError("need at least one record")
-    total = 0.0
-    for rec in records:
-        onehot = np.zeros(2)
-        onehot[rec.g] = 1.0
-        diff = rec.probs - onehot
-        total += float(diff @ diff)
-    return total / len(records)
+    diff = preds.probs - np.eye(2)[preds.g]
+    per_record = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+    return float(np.cumsum(per_record)[-1]) / len(preds)
 
 
 # ---------------------------------------------------------------------------
 # classification metrics and paired test
 # ---------------------------------------------------------------------------
 
-# Reference operating point of a full-scale clinical run of the plain
-# cross-entropy baseline (percent). Kept for report footnotes; the
-# desk-scale runs here are not expected to reproduce it.
-REFERENCE_FULL_SCALE_BASELINE = {"sensitivity": 73.3, "specificity": 64.3, "bacc": 68.8}
-
-
-def classification_metrics(records: list[PredictionRecord]) -> dict:
+def classification_metrics(preds: Predictions) -> dict:
     """Sensitivity, specificity, and their mean; None where a class is absent."""
-    if not records:
+    if not len(preds):
         raise ValueError("need at least one record")
-    tp = sum(1 for r in records if r.g == 1 and r.predicted == 1)
-    fn = sum(1 for r in records if r.g == 1 and r.predicted == 0)
-    tn = sum(1 for r in records if r.g == 0 and r.predicted == 0)
-    fp = sum(1 for r in records if r.g == 0 and r.predicted == 1)
+    positive = preds.g == 1
+    tp = int(np.count_nonzero(positive & preds.correct))
+    fn = int(np.count_nonzero(positive & ~preds.correct))
+    tn = int(np.count_nonzero(~positive & preds.correct))
+    fp = int(np.count_nonzero(~positive & ~preds.correct))
     sen = tp / (tp + fn) if (tp + fn) else None
     spe = tn / (tn + fp) if (tn + fp) else None
     bacc = (sen + spe) / 2 if (sen is not None and spe is not None) else None
     return {"sensitivity": sen, "specificity": spe, "bacc": bacc}
 
 
-def mcnemar(records_a: list[PredictionRecord],
-            records_b: list[PredictionRecord]) -> dict:
+def mcnemar(preds_a: Predictions, preds_b: Predictions) -> dict:
     """Continuity-corrected chi-squared test on paired disagreements (1 dof)."""
-    if len(records_a) != len(records_b):
-        raise ValueError(f"paired test needs equal lengths, got {len(records_a)} and {len(records_b)}")
-    for i, (ra, rb) in enumerate(zip(records_a, records_b)):
-        if ra.g != rb.g:
-            raise ValueError(f"record {i} has mismatched labels; the test sets differ")
-    b = sum(1 for ra, rb in zip(records_a, records_b) if ra.correct and not rb.correct)
-    c = sum(1 for ra, rb in zip(records_a, records_b) if not ra.correct and rb.correct)
+    if len(preds_a) != len(preds_b):
+        raise ValueError(f"paired test needs equal lengths, got {len(preds_a)} and {len(preds_b)}")
+    mismatched = preds_a.g != preds_b.g
+    if mismatched.any():
+        raise ValueError(f"record {int(np.argmax(mismatched))} has mismatched labels; "
+                         "the test sets differ")
+    b = int(np.count_nonzero(preds_a.correct & ~preds_b.correct))
+    c = int(np.count_nonzero(~preds_a.correct & preds_b.correct))
     if b + c == 0:
         return {"statistic": 0.0, "p_value": 1.0, "b": 0, "c": 0}
     stat = (abs(b - c) - 1) ** 2 / (b + c)

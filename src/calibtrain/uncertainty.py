@@ -22,8 +22,9 @@ of b rows, shares one rng across the batch instead: its n - 1 latent passes
 are drawn VOTE_ROWS // b at a time, each block one (k, b, latent) draw, which
 reads the stream exactly as one (b, latent) draw per pass would.
 
-Records built from the votes use r = max(c, 1 - c) as confidence and the
-majority vote as the label; an exact tie at 0.5 predicts positive.
+Predictions built from the vote shares c take [1 - c, c] as the class
+probabilities, max(c, 1 - c) as the confidence and the majority vote as the
+label; an exact tie at 0.5 predicts positive.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataSplit, FeatureScaler, Sample, features, labels
-from .metrics import PredictionRecord
+from .data import DataSplit, FeatureScaler
+from .metrics import Predictions
 from .model import VaeClassifier
 
 KINDS = ("epistemic", "aleatoric")
@@ -109,38 +110,34 @@ def epistemic(model: VaeClassifier, x: np.ndarray, n: int = 20,
     return _estimate(_vote_predictions(model, x, "epistemic", n, [rng])[0], "epistemic")
 
 
-def aleatoric(model: VaeClassifier, sample: Sample, n: int = 20,
+def aleatoric(model: VaeClassifier, x: np.ndarray, n: int = 20,
               sigma: float = 0.2, rng: np.random.Generator | None = None,
               scaler: FeatureScaler | None = None) -> UncertaintyEstimate:
-    """Vote over the original input plus n - 1 noisy copies, latent kept at mu.
+    """Vote over the raw feature row x plus n - 1 noisy copies, latent kept at mu.
 
     Noise is added in raw feature space; when a scaler is given, each copy is
     scaled after perturbation, matching how training inputs were prepared.
     """
     if n > 1 and sigma > 0 and rng is None:
         raise ValueError("input perturbation requires an rng")
-    x = np.asarray(sample.x, dtype=np.float64).reshape(1, -1)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     preds = _vote_predictions(model, x, "aleatoric", n, [rng], sigma=sigma, scaler=scaler)
     return _estimate(preds[0], "aleatoric")
 
 
-def _vote_record(c: float, g: int) -> PredictionRecord:
-    predicted = 1 if c >= 0.5 else 0   # tie predicts positive
-    r = max(c, 1.0 - c)
-    return PredictionRecord(probs=np.array([1.0 - c, c]), r=r,
-                            predicted=predicted, g=int(g),
-                            correct=predicted == int(g))
-
-
-def record_from_votes(est: UncertaintyEstimate, g: int) -> PredictionRecord:
-    return _vote_record(est.c_positive, g)
+def predictions_from_shares(c: np.ndarray, g: np.ndarray) -> Predictions:
+    """Predictions from positive-vote shares c; a tie at 0.5 predicts positive."""
+    c = np.asarray(c, dtype=np.float64)
+    return Predictions.of(np.stack([1.0 - c, c], axis=1),
+                          (c >= 0.5).astype(np.int64), np.array(g, dtype=np.int64))
 
 
 def uncertainty_records(model: VaeClassifier, split: DataSplit, kind: str,
                         scaler: FeatureScaler | None = None, n: int = 20,
                         sigma: float | None = None,
-                        base_seed: tuple = (0,)) -> list[PredictionRecord]:
-    """One vote-based record per test sample, voted VOTE_ROWS // n samples at a time.
+                        base_seed: tuple = (0,)) -> Predictions:
+    """Vote-based predictions for the test split, voted VOTE_ROWS // n samples
+    at a time.
 
     Sample i draws from its own substream default_rng(base_seed + (i,)), so
     results do not depend on evaluation order. Aleatoric sigma defaults to
@@ -150,18 +147,16 @@ def uncertainty_records(model: VaeClassifier, split: DataSplit, kind: str,
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if sigma is None:
         sigma = 0.1 * float(split.params.get("separation", 2.0))
-    x = features(split.test)
-    g = labels(split.test)
-    records = []
+    x = split.test.x
+    shares = np.empty(len(x))
     chunk = max(1, VOTE_ROWS // n)
-    for start in range(0, len(g), chunk):
-        stop = min(start + chunk, len(g))
+    for start in range(0, len(x), chunk):
+        stop = min(start + chunk, len(x))
         rngs = [np.random.default_rng(tuple(base_seed) + (i,)) for i in range(start, stop)]
         preds = _vote_predictions(model, x[start:stop], kind, n, rngs,
                                   sigma=sigma, scaler=scaler)
-        shares = (preds.sum(axis=1) / n).tolist()
-        records.extend(_vote_record(c, gi) for c, gi in zip(shares, g[start:stop].tolist()))
-    return records
+        shares[start:stop] = preds.sum(axis=1) / n
+    return predictions_from_shares(shares, split.test.g)
 
 
 def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,

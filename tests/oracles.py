@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (plain loops, no code shared with the
 package) so it can serve as an oracle for the real implementations. The
-exceptions are the last three sections: the graph ops the package no longer
+per-record metrics are the package's former metric code, one object per
+record, which the array metrics must match bitwise, and ``perturb`` is the
+former per-sample input noise. The other exceptions are the last three
+sections: the graph ops the package no longer
 needs (the op-level tests check their gradients on their own), and the VAE
 and the loss heads built from them one node per operation, which the fused
 layers and loss heads of the package must match bitwise.
@@ -11,6 +14,7 @@ layers and loss heads of the package must match bitwise.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from calibtrain.autodiff import (
     constant,
     neg,
 )
+from calibtrain.data import Subset
 from calibtrain.losses import BatchView, confidence_weights, make_batch_view
 from calibtrain.model import (
     LOGVAR_MAX,
@@ -157,6 +162,142 @@ def brute_mcnemar(correct_a, correct_b):
     stat = (abs(b - c) - 1.0) ** 2 / (b + c)
     p = math.erfc(math.sqrt(stat / 2.0))
     return stat, p
+
+
+# ---------------------------------------------------------------------------
+# per-record metrics: the bitwise reference for the array metrics
+# ---------------------------------------------------------------------------
+# One object per record and Python loops over the records, as the package
+# computed its metrics before they took arrays. The per-bin means use
+# np.mean over each bin's records, in record order for equal-width bins and
+# in sorted order for adaptive bins, and the Brier terms are summed left to
+# right, so the array metrics must equal these exactly, not just closely.
+
+@dataclass
+class Record:
+    probs: np.ndarray  # [P(g=0), P(g=1)]
+    r: float           # confidence, max(probs)
+    predicted: int
+    g: int
+    correct: bool
+
+
+def ref_records_from_probs(probs, labels) -> list[Record]:
+    """Softmax records; ties predict class 0."""
+    probs = np.array(probs, dtype=np.float64)
+    predicted = np.argmax(probs, axis=1).tolist()
+    return [Record(probs=row, r=r, predicted=pred, g=g, correct=pred == g)
+            for row, r, pred, g in zip(probs, probs.max(axis=1).tolist(), predicted,
+                                       np.asarray(labels).astype(np.int64).tolist())]
+
+
+def ref_records_from_shares(shares, labels) -> list[Record]:
+    """Vote records from positive-vote shares; a tie at 0.5 predicts positive."""
+    records = []
+    for c, g in zip(np.asarray(shares, dtype=np.float64).tolist(), labels):
+        predicted = 1 if c >= 0.5 else 0
+        records.append(Record(probs=np.array([1.0 - c, c]), r=max(c, 1.0 - c),
+                              predicted=predicted, g=int(g), correct=predicted == int(g)))
+    return records
+
+
+def _ref_bin(i, grp, edges):
+    conf = acc = None
+    if grp:
+        conf = float(np.mean([x.r for x in grp]))
+        acc = float(np.mean([x.correct for x in grp]))
+    lower, upper = edges if edges else (None, None)
+    return {"bin": i, "lower": lower, "upper": upper, "count": len(grp),
+            "conf": conf, "acc": acc}
+
+
+def ref_reliability_rows(records, scheme="equal_width", m=15) -> list[dict]:
+    """Reliability-table rows, as ``BinTable.rows()`` gives them."""
+    if scheme == "equal_width":
+        groups = [[] for _ in range(m)]
+        for rec in records:
+            groups[min(max(math.ceil(rec.r * m) - 1, 0), m - 1)].append(rec)
+        return [_ref_bin(i, grp, (i / m, (i + 1) / m)) for i, grp in enumerate(groups)]
+    order = sorted(range(len(records)), key=lambda i: (records[i].r, i))
+    base, rem = divmod(len(records), m)
+    rows, pos = [], 0
+    for i in range(m):
+        size = base + (1 if i < rem else 0)
+        rows.append(_ref_bin(i, [records[j] for j in order[pos:pos + size]], None))
+        pos += size
+    return rows
+
+
+def ref_ece(records, m=15, scheme="equal_width") -> float:
+    total = 0.0
+    for b in ref_reliability_rows(records, scheme, m):
+        if b["count"]:
+            total += (b["count"] / len(records)) * abs(b["acc"] - b["conf"])
+    return total
+
+
+def ref_mce(records, m=15) -> float:
+    worst = 0.0
+    for b in ref_reliability_rows(records, "equal_width", m):
+        if b["count"]:
+            worst = max(worst, abs(b["acc"] - b["conf"]))
+    return worst
+
+
+def ref_oe(records, m=15) -> float:
+    total = 0.0
+    for b in ref_reliability_rows(records, "equal_width", m):
+        if b["count"]:
+            total += (b["count"] / len(records)) * (b["conf"] * max(b["conf"] - b["acc"], 0.0))
+    return total
+
+
+def ref_brier(records) -> float:
+    total = 0.0
+    for rec in records:
+        onehot = np.zeros(2)
+        onehot[rec.g] = 1.0
+        diff = rec.probs - onehot
+        total += float(diff @ diff)
+    return total / len(records)
+
+
+def ref_classification(records) -> dict:
+    tp = sum(1 for r in records if r.g == 1 and r.predicted == 1)
+    fn = sum(1 for r in records if r.g == 1 and r.predicted == 0)
+    tn = sum(1 for r in records if r.g == 0 and r.predicted == 0)
+    fp = sum(1 for r in records if r.g == 0 and r.predicted == 1)
+    sen = tp / (tp + fn) if (tp + fn) else None
+    spe = tn / (tn + fp) if (tn + fp) else None
+    bacc = (sen + spe) / 2 if (sen is not None and spe is not None) else None
+    return {"sensitivity": sen, "specificity": spe, "bacc": bacc}
+
+
+def ref_metric_row(records, m=15) -> dict:
+    """The per-record counterpart of ``harness.suite.metric_row``."""
+    cls = ref_classification(records)
+    return {"ece": ref_ece(records, m), "aece": ref_ece(records, m, "adaptive"),
+            "oe": ref_oe(records, m), "mce": ref_mce(records, m), "bs": ref_brier(records),
+            "sen": cls["sensitivity"], "spe": cls["specificity"], "bacc": cls["bacc"]}
+
+
+def ref_mcnemar(records_a, records_b) -> dict:
+    b = sum(1 for ra, rb in zip(records_a, records_b) if ra.correct and not rb.correct)
+    c = sum(1 for ra, rb in zip(records_a, records_b) if not ra.correct and rb.correct)
+    if b + c == 0:
+        return {"statistic": 0.0, "p_value": 1.0, "b": 0, "c": 0}
+    stat = (abs(b - c) - 1) ** 2 / (b + c)
+    p = math.erfc(math.sqrt(stat / 2.0))
+    return {"statistic": float(stat), "p_value": float(p), "b": b, "c": c}
+
+
+def perturb(part: Subset, sigma: float, rng: np.random.Generator) -> Subset:
+    """Additive Gaussian input noise; labels and recorded posteriors unchanged."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if sigma == 0:
+        return Subset(part.x.copy(), part.g, part.posterior)
+    return Subset(part.x + rng.standard_normal(part.x.shape) * sigma, part.g, part.posterior)
 
 
 # ---------------------------------------------------------------------------

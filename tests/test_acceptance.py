@@ -90,19 +90,18 @@ def test_criterion_1_metric_oracle_equivalence():
             gs = rng.integers(0, 2, n)
             records = records_from_probs(np.stack([1.0 - p1, p1], axis=1), gs)
             m = int(rng.integers(1, 21))
-            rs = [r.r for r in records]
-            corrects = [r.correct for r in records]
+            rs = records.conf.tolist()
+            corrects = records.correct.tolist()
 
             track(ece(records, m), brute_ece(rs, corrects, m))
             track(aece(records, m), brute_ece(rs, corrects, m, adaptive=True))
             track(mce(records, m), brute_mce(rs, corrects, m))
             track(oe(records, m), brute_oe(rs, corrects, m))
             track(brier(records),
-                  brute_brier([list(r.probs) for r in records],
-                              [r.g for r in records]))
+                  brute_brier(records.probs.tolist(), records.g.tolist()))
             cls = classification_metrics(records)
-            sen, spe, bacc = brute_classification([r.predicted for r in records],
-                                                  [r.g for r in records])
+            sen, spe, bacc = brute_classification(records.predicted.tolist(),
+                                                  records.g.tolist())
             track(cls["sensitivity"], sen)
             track(cls["specificity"], spe)
             track(cls["bacc"], bacc)
@@ -111,7 +110,7 @@ def test_criterion_1_metric_oracle_equivalence():
             q1 = rng.uniform(0.001, 0.999, n)
             records_b = records_from_probs(np.stack([1.0 - q1, q1], axis=1), gs)
             got = mcnemar(records, records_b)
-            stat, p = brute_mcnemar(corrects, [r.correct for r in records_b])
+            stat, p = brute_mcnemar(corrects, records_b.correct.tolist())
             track(got["statistic"], stat)
             track(got["p_value"], p)
 
@@ -408,8 +407,7 @@ def test_criterion_8_uncertainty_estimators():
         scaler = FeatureScaler().fit(features(split.train))
 
         deltas = []
-        for i, sample in enumerate(split.test[:100]):
-            x = scaler.transform(sample.x[None, :])[0]
+        for i, x in enumerate(scaler.transform(split.test.x[:100])):
             few = epistemic(model, x, n=20, rng=np.random.default_rng((71, i)))
             many = epistemic(model, x, n=200, rng=np.random.default_rng((72, i)))
             deltas.append(abs(few.c_positive - many.c_positive))
@@ -417,11 +415,11 @@ def test_criterion_8_uncertainty_estimators():
         assert mean_delta < 0.1
 
         subset = DataSplit(train=split.train, validation=split.validation,
-                           test=split.test[:100], seed=split.seed,
+                           test=split.test.take(slice(0, 100)), seed=split.seed,
                            params=split.params)
         recs = uncertainty_records(model, subset, "aleatoric", scaler=scaler,
                                    n=10, sigma=0.0, base_seed=(73,))
-        votes = [float(r.probs[1]) for r in recs]
+        votes = recs.probs[:, 1].tolist()
         assert all(v in (0.0, 1.0) for v in votes)
         info["detail"] = (f"20 vs 200 draws mean |delta c| {mean_delta:.3f}; "
                           f"sigma=0 votes unanimous on {len(votes)} samples")

@@ -6,15 +6,15 @@ import pytest
 from calibtrain.data import (
     DataSplit,
     FeatureScaler,
-    Sample,
+    Subset,
     features,
     generate_gaussian_mixture,
     labels,
-    perturb,
     posteriors,
     read_split,
     write_split,
 )
+from oracles import perturb
 
 
 def small_split(**kw):
@@ -36,9 +36,9 @@ def test_posterior_at_midpoint_is_half():
 def test_posterior_formula_matches_samples():
     split = small_split(seed=3)
     sep = split.params["separation"]
-    for s in split.train[:50]:
-        expect = 1.0 / (1.0 + math.exp(-sep * s.x[0]))
-        assert abs(s.true_posterior - expect) < 1e-12
+    for x, posterior in zip(split.train.x[:50], split.train.posterior[:50]):
+        expect = 1.0 / (1.0 + math.exp(-sep * x[0]))
+        assert abs(posterior - expect) < 1e-12
 
 
 def test_noise_rate_adjusts_posterior():
@@ -46,10 +46,10 @@ def test_noise_rate_adjusts_posterior():
     clean = small_split(seed=5)
     noisy = small_split(seed=5, noise_rate=rho)
     # same seed 'component' and x draws precede the label draws, so features match
-    for a, b in zip(clean.train[:20], noisy.train[:20]):
-        assert np.array_equal(a.x, b.x)
-        expect = a.true_posterior * (1 - rho) + (1 - a.true_posterior) * rho
-        assert abs(b.true_posterior - expect) < 1e-12
+    a, b = clean.train.take(slice(0, 20)), noisy.train.take(slice(0, 20))
+    assert np.array_equal(a.x, b.x)
+    expect = a.posterior * (1 - rho) + (1 - a.posterior) * rho
+    assert np.all(np.abs(b.posterior - expect) < 1e-12)
 
 
 def test_labels_match_posterior_binomial_ci():
@@ -89,7 +89,8 @@ def test_split_sizes_and_disjointness():
     assert len(split.validation) == 100
     assert len(split.test) == 100
     # distinct draws: no feature row repeats across splits
-    all_x = features(split.train + split.validation + split.test)
+    all_x = np.concatenate([features(split.train), features(split.validation),
+                            features(split.test)])
     assert len(np.unique(all_x[:, 0])) == len(all_x)
 
 
@@ -118,23 +119,23 @@ def test_missing_class_rejected():
 
 def test_perturb_sigma_zero_is_identity():
     rng = np.random.default_rng(0)
-    s = Sample(np.array([1.0, -2.0]), 1, 0.9)
+    s = Subset(np.array([[1.0, -2.0]]), np.array([1]), np.array([0.9]))
     out = perturb(s, 0.0, rng)
     assert np.array_equal(out.x, s.x)
     assert out.x is not s.x
-    assert out.g == 1 and out.true_posterior == 0.9
+    assert out.g.tolist() == [1] and out.posterior.tolist() == [0.9]
 
 
 def test_perturb_negative_sigma_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        perturb(Sample(np.zeros(2), 0, 0.5), -0.1, rng)
+        perturb(Subset(np.zeros((1, 2)), np.array([0]), np.array([0.5])), -0.1, rng)
 
 
 def test_perturb_clt_mean_bound():
     # mean of 1e4 perturbations of a fixed point stays within 3*sigma/sqrt(n)
     rng = np.random.default_rng(13)
-    base = Sample(np.array([0.5, -1.5, 2.0]), 1, 0.8)
+    base = Subset(np.array([[0.5, -1.5, 2.0]]), np.array([1]), np.array([0.8]))
     sigma = 0.3
     n = 10_000
     acc = np.zeros_like(base.x)
@@ -175,10 +176,9 @@ def test_csv_round_trip(tmp_path):
     for name in ("train", "validation", "test"):
         orig, loaded = getattr(split, name), getattr(back, name)
         assert len(orig) == len(loaded)
-        for a, b in zip(orig, loaded):
-            assert np.array_equal(a.x, b.x)  # repr round-trips float64 exactly
-            assert a.g == b.g
-            assert a.true_posterior == b.true_posterior
+        assert np.array_equal(orig.x, loaded.x)  # repr round-trips float64 exactly
+        assert np.array_equal(orig.g, loaded.g)
+        assert np.array_equal(orig.posterior, loaded.posterior)
 
 
 def test_csv_rewrite_byte_identical(tmp_path):
@@ -195,3 +195,12 @@ def test_class_counts_sum():
     counts = split.class_counts()
     assert counts["train"][0] + counts["train"][1] == 200
     assert all(c > 0 for pair in counts.values() for c in pair)
+
+
+def test_split_arrays_are_read_only():
+    split = small_split()
+    for part in (split.train, split.validation, split.test):
+        assert part.x.shape == (len(part), 4) and part.g.dtype == np.int64
+        for values in (part.x, part.g, part.posterior):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0

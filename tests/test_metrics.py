@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from calibtrain.metrics import (
-    REFERENCE_FULL_SCALE_BASELINE,
+    Predictions,
     aece,
-    bin_adaptive,
-    bin_equal_width,
     brier,
     classification_metrics,
     ece,
@@ -18,6 +16,8 @@ from calibtrain.metrics import (
     records_from_probs,
     reliability_table,
 )
+from calibtrain.harness.suite import metric_row
+from calibtrain.uncertainty import predictions_from_shares
 from oracles import (
     brute_brier,
     brute_classification,
@@ -25,6 +25,11 @@ from oracles import (
     brute_mce,
     brute_mcnemar,
     brute_oe,
+    ref_mcnemar,
+    ref_metric_row,
+    ref_records_from_probs,
+    ref_records_from_shares,
+    ref_reliability_rows,
 )
 
 
@@ -54,16 +59,15 @@ def random_records(rng, n):
 def test_record_fields_and_invariants():
     probs = np.array([[0.3, 0.7], [0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
     recs = records_from_probs(probs, np.array([1, 1, 0, 1]))
-    assert [r.predicted for r in recs] == [1, 0, 0, 0]  # ties go to class 0
-    assert [r.correct for r in recs] == [True, False, True, False]
-    assert [r.g for r in recs] == [1, 1, 0, 1]
-    assert [r.r for r in recs] == [0.7, 0.9, 0.5, 0.5]
-    for rec, row in zip(recs, probs):
-        assert np.array_equal(rec.probs, row)
-        assert type(rec.r) is float and type(rec.predicted) is int and type(rec.g) is int
-        assert rec.correct == (rec.predicted == rec.g)
+    assert recs.predicted.tolist() == [1, 0, 0, 0]  # ties go to class 0
+    assert recs.correct.tolist() == [True, False, True, False]
+    assert recs.g.tolist() == [1, 1, 0, 1]
+    assert recs.conf.tolist() == [0.7, 0.9, 0.5, 0.5]
+    assert np.array_equal(recs.probs, probs)
+    assert (recs.conf.dtype, recs.predicted.dtype, recs.g.dtype) == (np.float64, np.int64, np.int64)
+    assert np.array_equal(recs.correct, recs.predicted == recs.g)
     probs[0] = [1.0, 0.0]   # records keep their own copy
-    assert np.array_equal(recs[0].probs, [0.3, 0.7])
+    assert np.array_equal(recs.probs[0], [0.3, 0.7])
 
 
 def test_record_validation():
@@ -91,7 +95,7 @@ def test_equal_width_boundary_half():
 
 def test_equal_width_edges_and_counts():
     recs = make_records([0.55, 0.95, 0.6, 1.0], [1, 1, 0, 1])
-    table = bin_equal_width(recs, 10)
+    table = reliability_table(recs, "equal_width", 10)
     assert table.n == 4
     assert sum(b.count for b in table.bins) == 4
     assert table.bins[0].lower == 0.0 and table.bins[-1].upper == 1.0
@@ -103,14 +107,14 @@ def test_equal_width_edges_and_counts():
 def test_adaptive_one_per_bin():
     rs = np.linspace(0.5, 1.0, 15)
     recs = make_records(rs, [1] * 15)
-    table = bin_adaptive(recs, 15)
+    table = reliability_table(recs, "adaptive", 15)
     assert [b.count for b in table.bins] == [1] * 15
 
 
 def test_adaptive_3205_split():
     rng = np.random.default_rng(0)
     recs = random_records(rng, 3205)
-    table = bin_adaptive(recs, 15)
+    table = reliability_table(recs, "adaptive", 15)
     counts = [b.count for b in table.bins]
     assert sorted(set(counts)) == [213, 214]
     assert counts == [214] * 10 + [213] * 5
@@ -119,16 +123,17 @@ def test_adaptive_3205_split():
 def test_adaptive_count_balance_property():
     rng = np.random.default_rng(1)
     for n in (1, 7, 14, 15, 16, 300, 499):
-        counts = [b.count for b in bin_adaptive(random_records(rng, n), 15).bins]
+        table = reliability_table(random_records(rng, n), "adaptive", 15)
+        counts = [b.count for b in table.bins]
         assert sum(counts) == n
         assert max(counts) - min(counts) <= 1
 
 
 def test_all_identical_confidences():
     recs = make_records([0.8] * 9, [1, 0, 1, 0, 1, 0, 1, 0, 1])
-    ew = bin_equal_width(recs, 15)
+    ew = reliability_table(recs, "equal_width", 15)
     assert sum(1 for b in ew.bins if b.count) == 1
-    ad = bin_adaptive(recs, 3)
+    ad = reliability_table(recs, "adaptive", 3)
     for b in ad.bins:
         assert abs(b.conf - 0.8) < 1e-12
 
@@ -136,16 +141,17 @@ def test_all_identical_confidences():
 def test_adaptive_tie_break_is_original_order():
     # two records at the same confidence: first goes to the earlier bin
     recs = make_records([0.8, 0.8], [1, 0])
-    table = bin_adaptive(recs, 2)
+    table = reliability_table(recs, "adaptive", 2)
     assert table.bins[0].acc == 1.0 and table.bins[1].acc == 0.0
 
 
 def test_bad_bin_args():
     recs = make_records([0.8], [1])
     with pytest.raises(ValueError):
-        bin_equal_width(recs, 0)
+        reliability_table(recs, "equal_width", 0)
     with pytest.raises(ValueError):
-        bin_adaptive([], 15)
+        empty = np.zeros(0, dtype=np.int64)
+        reliability_table(Predictions.of(np.zeros((0, 2)), empty, empty), "adaptive", 15)
     with pytest.raises(ValueError):
         reliability_table(recs, "quantile", 15)
 
@@ -224,11 +230,6 @@ def test_classification_single_class_absent():
     assert out["bacc"] is None
 
 
-def test_reference_row_internally_consistent():
-    ref = REFERENCE_FULL_SCALE_BASELINE
-    assert abs((ref["sensitivity"] + ref["specificity"]) / 2 - ref["bacc"]) < 0.05
-
-
 # -- McNemar ------------------------------------------------------------------
 
 def test_mcnemar_identical_predictions():
@@ -267,7 +268,7 @@ def test_mcnemar_symmetry_and_validation():
     assert ab["p_value"] == ba["p_value"]
     assert ab["b"] == ba["c"]
     with pytest.raises(ValueError):
-        mcnemar(a, b[:-1])
+        mcnemar(a, records_from_probs(b.probs[:-1], b.g[:-1]))
     flipped = records_from_probs(np.stack([1 - p2, p2], axis=1), 1 - labels)
     with pytest.raises(ValueError, match="labels"):
         mcnemar(a, flipped)
@@ -280,17 +281,17 @@ def test_metrics_match_brute_force_oracles():
     for trial in range(60):
         n = int(rng.integers(1, 200))
         recs = random_records(rng, n)
-        rs = [r.r for r in recs]
-        corrects = [r.correct for r in recs]
+        rs = recs.conf.tolist()
+        corrects = recs.correct.tolist()
         m = int(rng.integers(1, 20))
         assert abs(ece(recs, m) - brute_ece(rs, corrects, m)) < 1e-10
         assert abs(aece(recs, m) - brute_ece(rs, corrects, m, adaptive=True)) < 1e-10
         assert abs(mce(recs, m) - brute_mce(rs, corrects, m)) < 1e-10
         assert abs(oe(recs, m) - brute_oe(rs, corrects, m)) < 1e-10
-        probs = [list(r.probs) for r in recs]
-        labels = [r.g for r in recs]
+        probs = recs.probs.tolist()
+        labels = recs.g.tolist()
         assert abs(brier(recs) - brute_brier(probs, labels)) < 1e-10
-        sen, spe, bacc = brute_classification([r.predicted for r in recs], labels)
+        sen, spe, bacc = brute_classification(recs.predicted.tolist(), labels)
         got = classification_metrics(recs)
         assert got["sensitivity"] == sen
         assert got["specificity"] == spe
@@ -306,7 +307,7 @@ def test_mcnemar_matches_oracle():
         pb = rng.uniform(0.001, 0.999, n)
         a = records_from_probs(np.stack([1 - pa, pa], axis=1), labels)
         b = records_from_probs(np.stack([1 - pb, pb], axis=1), labels)
-        stat, p = brute_mcnemar([r.correct for r in a], [r.correct for r in b])
+        stat, p = brute_mcnemar(a.correct.tolist(), b.correct.tolist())
         got = mcnemar(a, b)
         assert abs(got["statistic"] - stat) < 1e-10
         assert abs(got["p_value"] - p) < 1e-10
@@ -327,7 +328,8 @@ def test_range_and_dominance_properties():
 def test_equal_width_order_independent():
     rng = np.random.default_rng(8)
     recs = random_records(rng, 90)
-    shuffled = [recs[i] for i in rng.permutation(90)]
+    perm = rng.permutation(90)
+    shuffled = records_from_probs(recs.probs[perm], recs.g[perm])
     assert abs(ece(recs, 15) - ece(shuffled, 15)) < 1e-12
     assert abs(oe(recs, 15) - oe(shuffled, 15)) < 1e-12
 
@@ -353,3 +355,50 @@ def test_reliability_table_rows():
     assert all(set(r) == {"bin", "lower", "upper", "count", "conf", "acc"} for r in rows)
     ew = reliability_table(make_records([0.95], [1]), "equal_width", 15)
     assert ew.bins[0].count == 0 and ew.bins[0].acc is None
+
+
+# -- bitwise equality with the per-record reference ----------------------------
+
+def exact_cases():
+    """(kind, positive-class probabilities or vote shares, labels)."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (1, 7, 14, 15, 16, 44, 301):   # below 15, multiples of 15 and not
+        cases.append(("probs", rng.uniform(0.0, 1.0, n), rng.integers(0, 2, n)))
+    edges = np.concatenate([np.arange(16) / 15, 1.0 - np.arange(16) / 15, [0.5, 0.5]])
+    cases.append(("probs", edges, rng.integers(0, 2, edges.size)))
+    # softmax rows, whose two entries need not sum to exactly 1
+    for n in (2, 3, 5, 8, 13, 500):
+        e = np.exp(rng.normal(0.0, 3.0, (n, 2)))
+        cases.append(("probs", e / e.sum(axis=1, keepdims=True), rng.integers(0, 2, n)))
+    shares = rng.integers(0, 21, 203) / 20   # k/20, with ties at 0.5
+    cases.append(("shares", shares, rng.integers(0, 2, shares.size)))
+    p = rng.uniform(0.0, 1.0, 50)
+    predicted = (p > 0.5).astype(int)
+    cases.append(("probs", p, np.ones(50, dtype=int)))   # a single class
+    cases.append(("probs", p, predicted))                # all correct
+    cases.append(("probs", p, 1 - predicted))            # all wrong
+    cases.append(("shares", shares, (shares >= 0.5).astype(int)))
+    cases.append(("shares", shares, (shares < 0.5).astype(int)))
+    return cases
+
+
+def both_forms(kind, p, g):
+    if kind == "shares":
+        return predictions_from_shares(p, g), ref_records_from_shares(p, g)
+    probs = p if p.ndim == 2 else np.stack([1.0 - p, p], axis=1)
+    return records_from_probs(probs, g), ref_records_from_probs(probs, g)
+
+
+def test_metrics_equal_per_record_reference_bitwise():
+    rng = np.random.default_rng(12)
+    for kind, p, g in exact_cases():
+        preds, records = both_forms(kind, p, g)
+        assert metric_row(preds) == ref_metric_row(records)
+        for scheme in ("equal_width", "adaptive"):
+            assert reliability_table(preds, scheme).rows() == ref_reliability_rows(records, scheme)
+        other_kind = "shares" if kind == "probs" else "probs"
+        other = rng.integers(0, 21, len(g)) / 20 if other_kind == "shares" else rng.random(len(g))
+        preds_b, records_b = both_forms(other_kind, other, g)
+        assert mcnemar(preds, preds_b) == ref_mcnemar(records, records_b)
+        assert mcnemar(preds, preds) == ref_mcnemar(records, records)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calibtrain.data import FeatureScaler, Sample, features, generate_gaussian_mixture, perturb
+from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
     VOTE_ROWS,
@@ -9,9 +9,10 @@ from calibtrain.uncertainty import (
     aleatoric,
     epistemic,
     epistemic_batch,
-    record_from_votes,
+    predictions_from_shares,
     uncertainty_records,
 )
+from oracles import perturb
 
 
 def sign_model(latent_floor=False):
@@ -103,7 +104,7 @@ def test_epistemic_stability_20_vs_200():
 
 def test_aleatoric_sigma_zero_unanimous():
     m = sign_model()
-    s = Sample(np.array([0.4, -0.1]), 1, 0.8)
+    s = np.array([0.4, -0.1])
     est = aleatoric(m, s, n=20, sigma=0.0)
     assert est.c_positive in (0.0, 1.0)
     assert est.c_positive == 1.0
@@ -112,7 +113,7 @@ def test_aleatoric_sigma_zero_unanimous():
 
 def test_aleatoric_far_from_boundary_stable():
     m = sign_model()
-    s = Sample(np.array([5.0, 0.0]), 1, 1.0)
+    s = np.array([5.0, 0.0])
     est = aleatoric(m, s, n=20, sigma=0.1, rng=np.random.default_rng(4))
     assert est.c_positive == 1.0
 
@@ -121,7 +122,7 @@ def test_aleatoric_boundary_mixed_over_seeds():
     # noise on the scale of the class separation splits the votes for a
     # sample sitting on the decision boundary
     m = sign_model()
-    s = Sample(np.array([0.0, 0.0]), 1, 0.5)
+    s = np.array([0.0, 0.0])
     mixed = 0
     for seed in range(100):
         est = aleatoric(m, s, n=20, sigma=1.0, rng=np.random.default_rng(seed))
@@ -132,7 +133,7 @@ def test_aleatoric_boundary_mixed_over_seeds():
 
 def test_aleatoric_validation():
     m = sign_model()
-    s = Sample(np.zeros(2), 0, 0.5)
+    s = np.zeros(2)
     with pytest.raises(ValueError):
         aleatoric(m, s, n=0, sigma=0.1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -145,7 +146,7 @@ def test_aleatoric_scaler_applied():
     m = sign_model()
     scaler = FeatureScaler().fit(np.array([[-1.0, -1.0], [1.0, 1.0]]))
     # raw x0 = -0.5 scaled to 0.25: positive input to the scaled-space model
-    s = Sample(np.array([-0.5, 0.0]), 1, 0.5)
+    s = np.array([-0.5, 0.0])
     raw = aleatoric(m, s, n=1)
     scaled = aleatoric(m, s, n=1, scaler=scaler)
     assert raw.c_positive == 0.0
@@ -154,16 +155,12 @@ def test_aleatoric_scaler_applied():
 
 # -- records ----------------------------------------------------------------------
 
-def test_record_from_votes_conventions():
-    est = UncertaintyEstimate(1.0, 20, "epistemic", np.ones(20, dtype=int))
-    rec = record_from_votes(est, 1)
-    assert rec.r == 1.0 and rec.correct and rec.predicted == 1
-    tie = UncertaintyEstimate(0.5, 20, "aleatoric", np.array([0, 1] * 10))
-    rec = record_from_votes(tie, 0)
-    assert rec.predicted == 1 and rec.r == 0.5 and not rec.correct
-    minority = UncertaintyEstimate(0.3, 20, "epistemic", np.zeros(20, dtype=int))
-    rec = record_from_votes(minority, 0)
-    assert rec.predicted == 0 and rec.r == 0.7 and rec.correct
+def test_predictions_from_shares_conventions():
+    # unanimous positive, a tie, and a minority of positive votes
+    recs = predictions_from_shares(np.array([1.0, 0.5, 0.3]), np.array([1, 0, 0]))
+    assert recs.conf[0] == 1.0 and recs.correct[0] and recs.predicted[0] == 1
+    assert recs.predicted[1] == 1 and recs.conf[1] == 0.5 and not recs.correct[1]
+    assert recs.predicted[2] == 0 and recs.conf[2] == 0.7 and recs.correct[2]
 
 
 def test_uncertainty_records_full_split():
@@ -172,8 +169,8 @@ def test_uncertainty_records_full_split():
     recs = uncertainty_records(m, split, "epistemic", n=5, base_seed=(3, 3))
     assert len(recs) == 25
     again = uncertainty_records(m, split, "epistemic", n=5, base_seed=(3, 3))
-    for a, b in zip(recs, again):
-        assert a.r == b.r and a.predicted == b.predicted
+    assert np.array_equal(recs.conf, again.conf)
+    assert np.array_equal(recs.predicted, again.predicted)
     ale = uncertainty_records(m, split, "aleatoric", n=5, base_seed=(3, 4))
     assert len(ale) == 25  # sigma defaulted from the split's separation
     with pytest.raises(ValueError):
@@ -184,16 +181,16 @@ def test_uncertainty_records_full_split():
 
 def per_sample_records(model, split, kind, scaler, n, sigma, base_seed):
     """The single-sample estimators, one substream per test sample."""
-    records = []
-    for i, sample in enumerate(split.test):
+    shares = []
+    for i, x in enumerate(split.test.x):
         rng = np.random.default_rng(base_seed + (i,))
         if kind == "epistemic":
-            x = sample.x if scaler is None else scaler.transform(sample.x[None, :])[0]
+            x = x if scaler is None else scaler.transform(x[None, :])[0]
             est = epistemic(model, x, n=n, rng=rng)
         else:
-            est = aleatoric(model, sample, n=n, sigma=sigma, rng=rng, scaler=scaler)
-        records.append(record_from_votes(est, sample.g))
-    return records
+            est = aleatoric(model, x, n=n, sigma=sigma, rng=rng, scaler=scaler)
+        shares.append(est.c_positive)
+    return predictions_from_shares(np.array(shares), split.test.g)
 
 
 def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
@@ -201,10 +198,11 @@ def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
     with the vote kernel: latent draws of shape (n - 1, latent), and n - 1
     separate ``perturb`` calls for the noisy inputs."""
     shares = []
-    for i, sample in enumerate(split.test):
+    for i in range(len(split.test)):
+        sample = split.test.take(slice(i, i + 1))
         rng = np.random.default_rng(base_seed + (i,))
         if kind == "epistemic":
-            x = sample.x[None, :] if scaler is None else scaler.transform(sample.x[None, :])
+            x = sample.x if scaler is None else scaler.transform(sample.x)
             mu, lv = model.encode_values(x)
             z = [mu]
             if n > 1:
@@ -212,7 +210,7 @@ def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
             votes = [np.argmax(model.classify_values(zi), axis=1) for zi in z]
         else:
             rows = [sample.x] + [perturb(sample, sigma, rng).x for _ in range(n - 1)]
-            xs = np.stack(rows) if scaler is None else scaler.transform(np.stack(rows))
+            xs = np.concatenate(rows) if scaler is None else scaler.transform(np.concatenate(rows))
             votes = [np.argmax(model.predict_probs(xs), axis=1)]
         shares.append(float(np.concatenate(votes).mean()))
     return shares
@@ -235,10 +233,9 @@ def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
     sigma = 0.1 * split.params["separation"] if sigma is None else sigma
     want = per_sample_records(m, split, kind, scaler, n, sigma, base)
     assert len(got) == len(want) == len(split.test)
-    for a, b in zip(got, want):
-        assert (a.r, a.predicted, a.g, a.correct) == (b.r, b.predicted, b.g, b.correct)
-        assert np.array_equal(a.probs, b.probs)
-    shares = [r.probs[1] for r in got]
+    for field in ("conf", "predicted", "g", "correct", "probs"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    shares = got.probs[:, 1].tolist()
     assert shares == unbatched_vote_shares(m, split, kind, scaler, n, sigma, base)
     if n > 1 and sigma > 0:
         assert any(0.0 < c < 1.0 for c in shares)   # the draws reached the votes
