@@ -6,9 +6,18 @@ softmax probabilities, epistemic votes, and aleatoric votes. When both
 criteria select the same epoch, that model is evaluated once. Reports
 aggregate mean and (sample) standard deviation over seeds.
 
+Cells run in forked worker processes, one per available CPU and at most
+one per cell (see ``pool.map_cells``). Each cell owns its RNG substreams and
+results are collected in submission order, so the worker count changes no
+report. The cells run in the calling process instead when it has one CPU,
+or when a function they call has been replaced since import (a tracer or a
+call counter), whose records a worker could not hand back.
+
 All emitted files are pure functions of the config: floats are written with
 repr (shortest round-trip form), rows follow deterministic orders, and no
 timestamps appear anywhere, so re-running a suite reproduces every byte.
+The manifest is written last and atomically, so a run directory that has
+one holds every report.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,9 +44,10 @@ from ..metrics import (
     oe,
     reliability_table,
 )
-from ..model import VaeClassifier
+from ..model import VaeClassifier, _write_atomic
 from ..uncertainty import uncertainty_records
 from .config import CRITERIA, ExperimentConfig, config_hash
+from .pool import map_cells
 from .svg import write_reliability_svg
 from .training import evaluate_records, select_model, train
 
@@ -139,6 +150,36 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
     return cell
 
 
+def _failed_cell(strategy: str, seed: int, err: BaseException) -> CellResult:
+    return CellResult(strategy=strategy, seed=seed, selected_epoch={}, metrics={},
+                      test_records={}, failed=True, failure=f"{type(err).__name__}: {err}")
+
+
+def _timed_cell(config: ExperimentConfig, split: DataSplit, scaler: FeatureScaler,
+                x_test: np.ndarray, g_test: np.ndarray, spec: LossSpec,
+                seed: int) -> tuple[CellResult, float]:
+    """One cell and its own time in seconds; a failure becomes a failed cell."""
+    start = time.perf_counter()
+    try:
+        cell = _run_cell(config, split, spec, seed, scaler, x_test, g_test)
+    except Exception as err:   # a cell failure must not sink the suite
+        cell = _failed_cell(spec.strategy, seed, err)
+    return cell, time.perf_counter() - start
+
+
+# the functions of other layers that a cell looks up in this module, as imported
+_CELL_CALLS = {name: globals()[name] for name in (
+    "train", "select_model", "evaluate_records", "uncertainty_records",
+    "classification_metrics", "ece", "aece", "oe", "mce", "brier")}
+
+
+def _cell_calls_replaced() -> bool:
+    """Whether a function a cell calls was replaced after import, as a tracer
+    timing a layer or a test counting calls does. Such a wrapper keeps its
+    records in this process, so the cells must run here, not in workers."""
+    return any(globals()[name] is not fn for name, fn in _CELL_CALLS.items())
+
+
 def run_suite(config: ExperimentConfig, out_override: str | None = None) -> SuiteResult:
     out = config.resolve_out_dir(out_override)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,22 +192,19 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
     g_test = split.test.g
 
     specs = [LossSpec.from_dict(dict(entry)) for entry in config.suite]
-    n_cells = len(specs) * len(config.seeds)
+    cell_args = [(spec, seed) for spec in specs for seed in config.seeds]
     cells = []
-    for spec in specs:
-        for seed in config.seeds:
-            start = time.perf_counter()
-            try:
-                cell = _run_cell(config, split, spec, seed, scaler, x_test, g_test)
-            except Exception as err:   # a cell failure must not sink the suite
-                cell = CellResult(strategy=spec.strategy, seed=seed,
-                                  selected_epoch={}, metrics={}, test_records={},
-                                  failed=True, failure=f"{type(err).__name__}: {err}")
-            cells.append(cell)
-            # progress goes to stderr: timings stay out of the reports
-            print(f"[{len(cells)}/{n_cells}] {spec.strategy} seed {seed} "
-                  f"{'FAILED' if cell.failed else 'ok'} {time.perf_counter() - start:.1f}s",
-                  file=sys.stderr, flush=True)
+    outcomes = map_cells(_timed_cell, (config, split, scaler, x_test, g_test),
+                         cell_args, inline=_cell_calls_replaced())
+    for (spec, seed), outcome in zip(cell_args, outcomes):
+        if isinstance(outcome, BrokenProcessPool):
+            outcome = _failed_cell(spec.strategy, seed, outcome), 0.0
+        cell, seconds = outcome
+        cells.append(cell)
+        # progress goes to stderr: timings stay out of the reports
+        print(f"[{len(cells)}/{len(cell_args)}] {spec.strategy} seed {seed} "
+              f"{'FAILED' if cell.failed else 'ok'} {seconds:.1f}s",
+              file=sys.stderr, flush=True)
 
     _write_reports(config, cells, out)
     ok = not any(c.failed for c in cells)
@@ -186,6 +224,9 @@ def _strategy_order(config: ExperimentConfig) -> list[str]:
 
 
 def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path) -> None:
+    # a manifest marks a complete run directory: drop an earlier run's before
+    # writing any report, and write this run's after every report
+    (out / "manifest.json").unlink(missing_ok=True)
     strategies = _strategy_order(config)
     by_key = {(c.strategy, c.seed): c for c in cells}
 
@@ -292,4 +333,5 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
         ],
         "reports": sorted(str(p.relative_to(out)) for p in out.rglob("*.csv")),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / "manifest.json",
+                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())

@@ -1,11 +1,15 @@
-"""Pinned report digests: a small fixed suite must reproduce every report
-CSV byte for byte.
+"""Pinned report digests: two fixed suites must reproduce their reports
+byte for byte.
 
-The pins were taken before the VAE layers moved from the autodiff graph to
-hand-written numpy backward passes, so this test shows that refactor changed
-no byte of the reports. Any later change that moves a number must re-pin
-here and say why. The pins hold for float64 numpy on x86-64; another BLAS
-may round matrix products differently.
+The first pins were taken before the VAE layers moved from the autodiff
+graph to hand-written numpy backward passes, so this test shows that
+refactor changed no byte of the reports. The second set is the seed-0
+reference suite of ``bench/README.md`` at the default sizes, copied from
+there: its 2,000-row test split shows last-bit changes that the small
+suite's 200 rows can miss, such as a Brier score summed in another order.
+Any later change that moves a number must re-pin here and say why. The pins
+hold for float64 numpy on x86-64; another BLAS may round matrix products
+differently.
 """
 
 import hashlib
@@ -72,9 +76,121 @@ PINS = {
 }
 
 
+# the seed-0 suite of bench/README.md: default sizes, all seven default
+# strategies, two seeds, two epochs
+REFERENCE_CONFIG = dict(epochs=2, seeds=[0, 1], data_seed=0)
+
+# every file of that run but manifest.json, which records the run's path
+REFERENCE_PINS = {
+    "history/avuc_seed0.csv":
+        "2008d67152a5462025d0a2d62ad4ffc942fa569a07efb9b383bc8ba90d9e9a90",
+    "history/avuc_seed1.csv":
+        "abb6f01b84720c1a8ed3a3496dbcc06c91db1c22fb178c44c1531de60075958b",
+    "history/baseline_seed0.csv":
+        "d94db1b12139aab3ac631d736110ee3394eceeda5203f2688aa00a097dce9dd3",
+    "history/baseline_seed1.csv":
+        "df5fc23c6b54b0418f58a939ad010a3fff6803f199094d78a91f759abcf026ee",
+    "history/confidence_weight_seed0.csv":
+        "ec539a94f857e7778ad88922ebe718c650599c54000a575f5595370cb746d225",
+    "history/confidence_weight_seed1.csv":
+        "3ceb171cc165687c066ada3bf39dc1d249e7374437192a6cfe44dfb4cce12cfb",
+    "history/mmce_seed0.csv":
+        "b4fc5c1db0d7db4b4efd5dc28e0bc8b88b73bc465b03ce01c975d4e01202def6",
+    "history/mmce_seed1.csv":
+        "d60fe3b6b1cc6897aaa2514e6cb2fc08e1ff4fa988ea1fd35ca53709034cd9d6",
+    "history/paired_confidence_seed0.csv":
+        "db5376d6d87715136334f5ba0fa17f770a6b38d75f217b138d2d086c66c7a6fc",
+    "history/paired_confidence_seed1.csv":
+        "b0564a0cf5122c63a251d9c1ed0cd889ee58aca8bcfdb8559d4d493b26dfac94",
+    "history/probability_seed0.csv":
+        "6f0fa1ed4efd5c9d280e44ca9914eb0bea15aabda2943f57aceb1c27d96ded17",
+    "history/probability_seed1.csv":
+        "7291ec774a6f58b695cb6f2bc3cff6a9dc78cd668e241338ad7ae28a6859989d",
+    "history/soft_ece_seed0.csv":
+        "87795814a3bdeab3ba6415f1ff95e35d15011c5552b6664e072323fc027472fd",
+    "history/soft_ece_seed1.csv":
+        "493b104706ce47e6c17fc614e747c8f63da50f5e3c25077f705b7e5fe4628be4",
+    "mcnemar_vs_baseline.csv":
+        "0bd87123da20243410c38b25d291bc82be01536722e9419b46e28eef9bddce11",
+    "metrics_aleatoric.csv":
+        "589722c65a2e4db502796661e42b23937f75b4830394277dbf8db744a5676080",
+    "metrics_epistemic.csv":
+        "31494b364f70b5a3f2ae2f3f3e6579d5cf3c1f6883f6cfb6f8b1cc2ab2a6076f",
+    "metrics_softmax.csv":
+        "cbe3a7ccad6fc478f8b1f7268b78752faba4afc6846520fe810ffea51edcfa92",
+    "reliability/avuc_adaptive.csv":
+        "88056ead474de80c6a5ca4835055b403e8727c8c7dbbd5e427680d97031887cf",
+    "reliability/avuc_adaptive.svg":
+        "1c08064918ec1ba329f746eaae11b46e8f0bea030182abf9f4f543f3dd5ded10",
+    "reliability/avuc_equal_width.csv":
+        "9650ae1f91716c67a28544955031452790515696e50719ec53b8b3a1ba587cc2",
+    "reliability/avuc_equal_width.svg":
+        "48d80622362061ccd17a876a3024b82594f614fae4bfd5e199cbb9daf13490fa",
+    "reliability/baseline_adaptive.csv":
+        "63b48ae36a84a3ce226330c2e71c2b4afdf39854a74887e6cc4429459b61e048",
+    "reliability/baseline_adaptive.svg":
+        "bf43d88662c53da0f583975c45abccd2a21e4ba592a5a807038ecbd5ec7a3255",
+    "reliability/baseline_equal_width.csv":
+        "e2d1871db34dcf1b032d721599657348b688db5c2e59d4490f5bec83384de7d8",
+    "reliability/baseline_equal_width.svg":
+        "bca2ef414d0b88759ef1c9fd20504653858cab3e8a4c3002927aed19ca83bb85",
+    "reliability/confidence_weight_adaptive.csv":
+        "5da3f94327307b24b894b4f4269bdfc120337504c78956f98c55db35c69defb9",
+    "reliability/confidence_weight_adaptive.svg":
+        "93a77186598e7b051d5c379fe955c049b8f9c091f4c740ecca8da85c4e583117",
+    "reliability/confidence_weight_equal_width.csv":
+        "9af9044db91a1f1c70fbc09785a8c5f79151126d30cbc38e1bfa224caa509ce7",
+    "reliability/confidence_weight_equal_width.svg":
+        "e5cd668fea0350e16ca34396742a56da3e75db301358c9eb1787f21dddf02bba",
+    "reliability/mmce_adaptive.csv":
+        "77a9e4de5907522d60fd84c4122049b999b8b2d9d94641b96bc94dfac790c00e",
+    "reliability/mmce_adaptive.svg":
+        "cb346d50ce3f37a509e6089d665270b562e33a47aa354e38434ec2e0466a1047",
+    "reliability/mmce_equal_width.csv":
+        "13d5da28d8f51de5318905aa8da7143149f4c041ffd10e458cfad67ae4681c4c",
+    "reliability/mmce_equal_width.svg":
+        "94409e2b0a0521a15ddeaa624252ba2c313d88677db4d7616c2fcbc1008639b0",
+    "reliability/paired_confidence_adaptive.csv":
+        "b82a6429bcdf6b4c6fbc803dfd90de766a463d7cc04d0472c008a16a852c43e2",
+    "reliability/paired_confidence_adaptive.svg":
+        "97a4455ba082160d4b75f03d95c300867190501232823e9a59afa7d07376808e",
+    "reliability/paired_confidence_equal_width.csv":
+        "c57d1980e8e32b6729b46a8f85bb386c00a72187393250d7252311c8c8e84776",
+    "reliability/paired_confidence_equal_width.svg":
+        "9fe14429e556fb2c9b778805d94d0ecac7bf2a2b7e7e0fc28ec3e78d8026908b",
+    "reliability/probability_adaptive.csv":
+        "774c9ce57df0b9cff1621c8db42ecbb44e001cd1063c17dd7a7047d8b471d23b",
+    "reliability/probability_adaptive.svg":
+        "dd5d45001dbc84caf9b90774e963fc9ee0f64327aa1b6d2bc9dca0d47957560c",
+    "reliability/probability_equal_width.csv":
+        "8ef1d638befbe4efe53bfd90414bb25a80ffbf8bde7c00c4acee932dace2ea16",
+    "reliability/probability_equal_width.svg":
+        "d13c7d6d534e5a4fa78933745d189b411a462a363b2de88541228f3d2734ed05",
+    "reliability/soft_ece_adaptive.csv":
+        "6c27817a0ab73d1cc933f6182205ae4293b3aa790feb0a29859e4f59924a9544",
+    "reliability/soft_ece_adaptive.svg":
+        "612b0491220ccf0e61b2b51a7dc5dbaefee152ab6db22ebea5e63a10b6a823ab",
+    "reliability/soft_ece_equal_width.csv":
+        "9e54930cac9c2a72ded5b686e3dea25cb0c9457910b7abc0375b4acb193300fc",
+    "reliability/soft_ece_equal_width.svg":
+        "920126103d64011d0ae1e18ee21a54c0cfd9fff82ffb8c58bfd6c8a4eb856167",
+    "selection_comparison.csv":
+        "42823fa52fbf22474afcb48856d6b74a3eca6f2412ba48fbd589a2d1d87af073",
+}
+
+
 def test_report_csvs_match_pins(tmp_path):
     result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **DIGEST_CONFIG))
     assert result.ok
     got = {str(p.relative_to(result.out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(result.out_dir.rglob("*.csv"))}
     assert got == PINS
+
+
+def test_reference_suite_matches_bench_digests(tmp_path):
+    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **REFERENCE_CONFIG))
+    assert result.ok
+    got = {str(p.relative_to(result.out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(result.out_dir.rglob("*"))
+           if p.is_file() and p.name != "manifest.json"}
+    assert got == REFERENCE_PINS

@@ -1,7 +1,10 @@
 """Harness tests: config, training loop, selection, grid search, suite, CLI."""
 
 import json
+import multiprocessing
+import os
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from calibtrain.harness import (
     select_model,
     train,
 )
+from calibtrain.harness import pool, suite
 from calibtrain.harness.cli import main
 from calibtrain.harness.grid import grid_search
 from calibtrain.harness.suite import run_suite
@@ -280,6 +284,7 @@ def test_suite_records_failure_without_aborting(tmp_path):
     cfg = tiny_config(suite=[{"strategy": "baseline"}, dict(EXPLODING)],
                       out_dir=str(tmp_path / "run"))
     result = run_suite(cfg)
+    assert not multiprocessing.active_children()
     assert not result.ok
     by_strategy = {c.strategy: c for c in result.cells}
     assert not by_strategy["baseline"].failed
@@ -321,17 +326,96 @@ def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
-def test_suite_rerun_byte_identical(tmp_path):
+def test_suite_rerun_byte_identical(tmp_path, monkeypatch):
     cfg = tiny_config(seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE],
                       out_dir="run")
-    a = run_suite(cfg, out_override=str(tmp_path / "a"))
+    # the first run in this process, the second on every CPU
+    with monkeypatch.context() as m:
+        m.setattr(pool, "available_cpus", lambda: 1)
+        a = run_suite(cfg, out_override=str(tmp_path / "a"))
     b = run_suite(cfg, out_override=str(tmp_path / "b"))
+    assert not multiprocessing.active_children()
     names = sorted(str(p.relative_to(a.out_dir))
                    for p in a.out_dir.rglob("*") if p.is_file())
     assert names == sorted(str(p.relative_to(b.out_dir))
                            for p in b.out_dir.rglob("*") if p.is_file())
     for name in names:
         assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cpus, n_cells, workers", [
+    (10**9, 3, [3]), (2, 50, [2]), (64, 64, [64]), (1, 50, []), (10**9, 1, [])])
+def test_map_cells_caps_workers_at_cpus_and_cells(monkeypatch, cpus, n_cells, workers):
+    started = []
+
+    class Executor:   # runs each call at once: no process starts
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(pool, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", Executor)
+    cells = [(k,) for k in range(n_cells)]
+    expected = [10 + k for k in range(n_cells)]
+    assert list(pool.map_cells(lambda base, k: base + k, (10,), cells)) == expected
+    assert started == workers
+    assert list(pool.map_cells(lambda base, k: base + k, (10,), cells, inline=True)) == expected
+    assert started == workers
+
+
+@pytest.mark.skipif(pool.available_cpus() < 2, reason="a pool needs two CPUs")
+def test_suite_worker_killed_mid_cell_fails_unfinished_cells(tmp_path, monkeypatch):
+    test_process = os.getpid()
+    run_cell = suite._run_cell
+
+    def dying(config, split, spec, seed, *rest):
+        if spec.strategy == "soft_ece" and os.getpid() != test_process:
+            os._exit(1)
+        return run_cell(config, split, spec, seed, *rest)
+
+    # fork hands the patched function to the workers
+    monkeypatch.setattr(suite, "_run_cell", dying)
+    cfg = tiny_config(epochs=1, seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE],
+                      out_dir=str(tmp_path / "run"))
+    result = run_suite(cfg)
+    assert not multiprocessing.active_children()
+    assert not result.ok
+    failed = {(c.strategy, c.seed): c.failure for c in result.cells if c.failed}
+    assert {("soft_ece", 0), ("soft_ece", 1)} <= failed.keys()
+    assert all(f.startswith("BrokenProcessPool: ") for f in failed.values())
+    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    assert [c["failed"] for c in manifest["cells"]] == [c.failed for c in result.cells]
+    assert (result.out_dir / "metrics_softmax.csv").exists()
+
+
+def test_suite_failed_report_write_leaves_no_manifest(tmp_path, monkeypatch):
+    cfg = tiny_config(epochs=1, suite=[{"strategy": "baseline"}],
+                      out_dir=str(tmp_path / "run"))
+    out = run_suite(cfg).out_dir
+    assert (out / "manifest.json").exists()
+    render = suite.write_reliability_svg
+
+    def failing(table, path, title):
+        if path.name == "baseline_adaptive.svg":   # the last report written
+            raise OSError("disk full")
+        render(table, path, title)
+
+    monkeypatch.setattr(suite, "write_reliability_svg", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run_suite(cfg)
+    # the earlier run's manifest no longer vouches for the directory
+    assert [p.name for p in out.iterdir() if "manifest" in p.name] == []
 
 
 # ---------------------------------------------------------------------------
