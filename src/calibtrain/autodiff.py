@@ -1,17 +1,12 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Trainable parameters, the optimiser, and the entry point of the backward pass.
 
-Nodes form an acyclic computation graph; ``backward`` walks it once in
-reverse topological order and accumulates gradients into every reachable
-node that depends on a trainable leaf. Constants, and subgraphs built from
-constants alone, get no gradient and are not visited. Everything is float64
-and single-threaded, so identical seeds give bitwise-identical trajectories.
-
-A training step is made of fused nodes: each VAE layer (``model``) and each
-loss term (``losses``) is one node that computes its value in numpy and has
-a hand-written vector-Jacobian product. The graph keeps only the points where
-cotangents meet (the layer outputs, the class probabilities), so ``backward``
-sums them in a fixed order. The engine itself provides only broadcast add,
-negation and multiplication, with operator sugar, to combine nodes.
+A training step has one fixed backward schedule: ``losses.total_loss``
+returns a :class:`~calibtrain.losses.Loss` that knows which terms it holds,
+and :func:`backward` runs its schedule once. The schedule applies each loss
+term's and each VAE layer's hand-written vector-Jacobian product in a fixed
+order and adds the results into the parameter gradients. Everything is
+float64 and single-threaded, so identical seeds give bitwise-identical
+trajectories.
 
 Trainable values live in a :class:`ParamSet`: one contiguous float64 buffer
 with a named view per parameter, and a gradient buffer of the same layout,
@@ -24,8 +19,6 @@ from typing import Iterator
 
 import numpy as np
 
-EPS = 1e-12
-
 
 class ShapeMismatch(ValueError):
     """Operand shapes do not conform for the requested operation."""
@@ -36,213 +29,35 @@ class NonFiniteGradient(RuntimeError):
 
 
 def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
+    return np.asarray(x, dtype=np.float64)
 
 
-class Node:
-    """One value in the computation graph.
+def backward(loss) -> None:
+    """Add the gradient of ``loss`` into every parameter's ``grad``.
 
-    ``parents`` holds the input nodes and ``_vjps`` the matching
-    vector-Jacobian closures used by ``backward``. A closure returns the
-    parent's gradient contribution, or None when it has written that
-    contribution itself: fused layers write into a parameter buffer, and a
-    fused loss term that feeds one parent several times adds each part in
-    turn, in the order the op-by-op graph of that term would.
-    ``requires_grad`` marks trainable leaves and every node computed from
-    one; ``backward`` skips the rest. ``grad`` has the shape of ``value``:
-    it is allocated when the first contribution arrives and reads as zeros
-    before then.
+    ``loss`` is the loss object ``losses.total_loss`` returns. A second call
+    on the same loss is rejected; compute the loss again for the next step.
     """
-
-    __slots__ = ("value", "_grad", "op", "parents", "_vjps", "requires_grad",
-                 "_backward_done")
-
-    def __init__(self, value, op: str = "leaf", parents: tuple = (),
-                 vjps: tuple = (), requires_grad: bool | None = None):
-        self.value = _as_array(value)
-        self._grad = None
-        self.op = op
-        self.parents = parents
-        self._vjps = vjps
-        if requires_grad is None:
-            requires_grad = False
-            for parent in parents:
-                if parent.requires_grad:
-                    requires_grad = True
-                    break
-        self.requires_grad = requires_grad
-        self._backward_done = False
-
-    @property
-    def grad(self) -> np.ndarray:
-        return np.zeros_like(self.value) if self._grad is None else self._grad
-
-    def _accumulate(self, contribution: np.ndarray) -> None:
-        self._grad = contribution if self._grad is None else self._grad + contribution
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Node(op={self.op!r}, shape={self.value.shape})"
-
-    # operator sugar; plain numbers/arrays are lifted to constants
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def constant(x) -> Node:
-    """Leaf node that never receives a gradient."""
-    return Node(x, op="const")
-
-
-def _lift(x) -> Node:
-    return x if isinstance(x, Node) else constant(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` back down to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _check_broadcast(a: Node, b: Node, opname: str):
-    if a.value.shape == b.value.shape:
-        return
-    try:
-        np.broadcast_shapes(a.value.shape, b.value.shape)
-    except ValueError:
-        raise ShapeMismatch(
-            f"{opname}: shapes {a.value.shape} and {b.value.shape} do not conform"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
-def add(a: Node, b: Node) -> Node:
-    _check_broadcast(a, b, "add")
-    out = a.value + b.value
-    return Node(out, op="add", parents=(a, b), vjps=(
-        lambda g: _unbroadcast(g, a.value.shape),
-        lambda g: _unbroadcast(g, b.value.shape),
-    ))
-
-
-def neg(a: Node) -> Node:
-    return Node(-a.value, op="neg", parents=(a,), vjps=(lambda g: -g,))
-
-
-def mul(a: Node, b: Node) -> Node:
-    _check_broadcast(a, b, "mul")
-    out = a.value * b.value
-    return Node(out, op="mul", parents=(a, b), vjps=(
-        lambda g: _unbroadcast(g * b.value, a.value.shape),
-        lambda g: _unbroadcast(g * a.value, b.value.shape),
-    ))
-
-
-# ---------------------------------------------------------------------------
-# backward
-# ---------------------------------------------------------------------------
-
-def _topo_order(root: Node) -> list[Node]:
-    """Nodes that require a gradient, parents before children."""
-    order: list[Node] = []
-    seen: set[Node] = set()      # nodes hash by identity
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent.requires_grad and parent not in seen:
-                stack.append((parent, False))
-    return order
-
-
-def backward(loss: Node) -> None:
-    """Accumulate ``grad`` on every node reachable from ``loss`` that
-    requires one.
-
-    ``loss`` must be scalar. A second call on the same node is rejected;
-    rebuild the graph (or reset gradients) between steps instead. A node
-    with several children sums their contributions in reverse topological
-    order, so a graph of the same shape always rounds the same way.
-    """
-    if loss.value.shape != ():
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward already called on this node; rebuild the graph")
-    loss._backward_done = True
-    if not loss.requires_grad:
-        return
-
-    order = _topo_order(loss)
-    loss._grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        g = node._grad
-        if g is None:
-            continue
-        for parent, vjp in zip(node.parents, node._vjps):
-            if parent.requires_grad:
-                contribution = vjp(g)
-                if contribution is not None:
-                    parent._accumulate(contribution)
+    if loss.backward_done:
+        raise RuntimeError("backward already called on this loss; compute it again")
+    loss.backward_done = True
+    loss.schedule()
 
 
 # ---------------------------------------------------------------------------
 # parameters and the optimiser
 # ---------------------------------------------------------------------------
 
-class Param(Node):
-    """A trainable leaf whose ``value`` and ``grad`` are views into its
+class Param:
+    """A trainable array whose ``value`` and ``grad`` are views into its
     :class:`ParamSet`'s buffers. In-place writes to either reach the
     buffer; assigning either copies into the view."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_grad")
 
     def __init__(self, value: np.ndarray, grad: np.ndarray):
         self._value = value
         self._grad = grad
-        self.op = "param"
-        self.parents = ()
-        self._vjps = ()
-        self.requires_grad = True
-        self._backward_done = False
 
     @property
     def value(self) -> np.ndarray:
@@ -260,9 +75,6 @@ class Param(Node):
     def grad(self, new) -> None:
         self._grad[...] = _conforming(new, self._grad.shape, "grad")
 
-    def _accumulate(self, contribution: np.ndarray) -> None:
-        np.add(self._grad, contribution, out=self._grad)
-
 
 def _conforming(new, shape: tuple, what: str) -> np.ndarray:
     new = _as_array(new)
@@ -276,9 +88,8 @@ class ParamSet:
     """Named trainable arrays with deterministic iteration order.
 
     Values live in one contiguous float64 buffer, ``flat``, in insertion
-    order; gradients in ``grad``, with the same layout. ``node`` is a graph
-    leaf standing for the whole set: a fused layer names it as a parent and
-    writes its parameter gradients straight into ``grad``. Adding a
+    order; gradients in ``grad``, with the same layout. The layers' backward
+    passes add their parameter gradients straight into ``grad``. Adding a
     parameter reallocates both buffers, so build the optimiser last.
     """
 
@@ -288,7 +99,6 @@ class ParamSet:
         self._shapes: dict[str, tuple] = {}
         self.flat = np.zeros(0)
         self.grad = np.zeros(0)
-        self.node = Node(self.flat, op="params", requires_grad=True)
 
     def add(self, name: str, value) -> Param:
         if name in self._params:
@@ -299,7 +109,6 @@ class ParamSet:
         self._shapes[name] = value.shape
         self.flat = np.concatenate([self.flat, value.ravel()])
         self.grad = np.concatenate([self.grad, np.zeros(value.size)])
-        self.node = Node(self.flat, op="params", requires_grad=True)
         for key, span in self._slices.items():
             shape = self._shapes[key]
             views = self.flat[span].reshape(shape), self.grad[span].reshape(shape)
@@ -337,13 +146,13 @@ class ParamSet:
         return {k: flat[span].reshape(self._shapes[k]) for k, span in self._slices.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, node in self._params.items():
+        for k, param in self._params.items():
             src = np.asarray(values[k], dtype=np.float64)
-            if src.shape != node.value.shape:
+            if src.shape != param.value.shape:
                 raise ShapeMismatch(
-                    f"parameter {k!r}: stored shape {src.shape} vs model shape {node.value.shape}"
+                    f"parameter {k!r}: stored shape {src.shape} vs model shape {param.value.shape}"
                 )
-            node.value[...] = src
+            param.value[...] = src
         self.zero_grad()
 
 

@@ -228,6 +228,11 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
     # writing any report, and write this run's after every report
     (out / "manifest.json").unlink(missing_ok=True)
     strategies = _strategy_order(config)
+    written: list[Path] = []          # the manifest lists these, not what else is in ``out``
+
+    def report(path: Path, header: list[str], rows: list[list]) -> None:
+        write_csv(path, header, rows)
+        written.append(path)
     by_key = {(c.strategy, c.seed): c for c in cells}
 
     # per-epoch curves
@@ -235,7 +240,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
     hist_dir.mkdir(exist_ok=True)
     for cell in cells:
         rows = [[e[0], e[1], e[2], e[3]] for e in cell.epochs]
-        write_csv(hist_dir / f"{cell.strategy}_seed{cell.seed}.csv",
+        report(hist_dir / f"{cell.strategy}_seed{cell.seed}.csv",
                   ["epoch", "train_loss", "val_bacc", "val_ece"], rows)
 
     # aggregated metric tables: one file per evaluation mode
@@ -257,7 +262,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
         header = ["strategy", "criterion"]
         for col in METRIC_COLUMNS:
             header.extend([f"{col}_mean", f"{col}_std"])
-        write_csv(out / f"metrics_{mode}.csv", header, rows)
+        report(out / f"metrics_{mode}.csv", header, rows)
 
     # selection-criterion comparison (test BACC and ECE under each criterion)
     rows = []
@@ -272,13 +277,14 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
                     m = cell.metrics[criterion]["softmax"]
                     row.extend([cell.selected_epoch[criterion], m["bacc"], m["ece"]])
             rows.append(row)
-    write_csv(out / "selection_comparison.csv",
+    report(out / "selection_comparison.csv",
               ["strategy", "seed",
                "bacc_epoch", "bacc_test_bacc", "bacc_test_ece",
                "ece_epoch", "ece_test_bacc", "ece_test_ece"], rows)
 
-    # McNemar against the baseline, per seed, under the configured criterion
-    if "baseline" in strategies:
+    # McNemar against the baseline, per seed, under the configured criterion;
+    # a run of the baseline alone has nothing to compare
+    if "baseline" in strategies and len(strategies) > 1:
         rows = []
         for strategy in strategies:
             if strategy == "baseline":
@@ -295,7 +301,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
                                cell.test_records[config.criterion])
                 rows.append([strategy, seed, test["statistic"], test["p_value"],
                              test["b"], test["c"]])
-        write_csv(out / "mcnemar_vs_baseline.csv",
+        report(out / "mcnemar_vs_baseline.csv",
                   ["strategy", "seed", "statistic", "p_value", "b", "c"], rows)
 
     # reliability tables and SVGs: first seed, configured criterion
@@ -310,7 +316,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             table = reliability_table(records, scheme, 15)
             rows = [[r["bin"], r["lower"], r["upper"], r["count"], r["conf"], r["acc"]]
                     for r in table.rows()]
-            write_csv(rel_dir / f"{strategy}_{scheme}.csv",
+            report(rel_dir / f"{strategy}_{scheme}.csv",
                       ["bin", "lower", "upper", "count", "conf", "acc"], rows)
             write_reliability_svg(table, rel_dir / f"{strategy}_{scheme}.svg",
                                   f"{strategy} ({scheme.replace('_', '-')} bins)")
@@ -331,7 +337,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             }
             for c in cells
         ],
-        "reports": sorted(str(p.relative_to(out)) for p in out.rglob("*.csv")),
+        "reports": sorted(str(p.relative_to(out)) for p in written),
     }
     _write_atomic(out / "manifest.json",
                   (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())

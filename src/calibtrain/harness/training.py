@@ -137,7 +137,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
                 opt.step()
                 batch_losses.append(float(loss.value))
                 if spec.strategy == "avuc":
-                    epoch_probs.append(out.probs.value)
+                    epoch_probs.append(out.probs)
                     epoch_correct.append(batch.correct)
         except (NonFiniteGradient, NonFiniteActivation) as err:
             history.failed = True

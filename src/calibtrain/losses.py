@@ -1,28 +1,29 @@
 """Differentiable batch losses: baseline composite plus six uncertainty-aware
 training strategies.
 
-Every strategy produces a scalar graph node
+Every strategy produces a scalar loss
 
     L = L_RE + lambda_kl * L_KL + lambda_c * L_C (+ lambda_n * L_N)
 
 where L_N is the strategy-specific regularizer; the confidence-weight strategy
 instead replaces L_C with a per-sample weighted cross-entropy and has no
 lambda_n term. Coefficients that are exactly 0.0 short-circuit their term, so
-the remaining graph (and its gradients) matches the reduced loss bitwise.
+the remaining loss (and its gradients) matches the reduced loss bitwise.
 
 Confidence r_i is the probability of the arg-max class; the arg-max itself is
 treated as locally constant, so gradients flow through the selected entries
 only. Epistemic confidences C_i and the certain/uncertain partition are
 stop-gradient constants.
 
-Each term is one fused graph node over the class probabilities: it computes
-its value in numpy and has a hand-written backward pass. The tests keep the
-op-by-op graph of every term as the reference. Each backward pass repeats
-that graph's arithmetic operand for operand, sums the cotangents of a shared
-intermediate (r, the soft-bin counts, the MMCE kernel) in the order that
-graph's backward walk would, and adds its parts to the probabilities in that
-order too. Values and gradients are therefore bitwise those of the
-reference, and the graph of a whole loss holds a handful of nodes.
+Each term returns its value and a hand-written vector-Jacobian product
+(VJP). The tests keep an op-by-op autodiff graph of every term as the
+reference. Each VJP repeats that graph's arithmetic operand for operand,
+sums the cotangents of a shared intermediate (r, the soft-bin counts, the
+MMCE kernel) in the order that graph's backward walk would, and returns its
+parts in the order the graph adds them to the input. ``total_loss`` sums the
+probabilities' parts left to right, classifier term first, and hands the
+cotangents to ``VaeClassifier.backward``. Values and gradients are
+therefore bitwise those of the reference.
 """
 
 from __future__ import annotations
@@ -30,20 +31,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .autodiff import EPS, Node, constant
-from .model import (
-    ForwardResult,
-    _floored_log,
-    _mean,
-    _softmax_values,
-    kl_loss,
-    reconstruction_loss,
-)
+from .model import ForwardResult, _in_order, _softmax_values
 
 log_ = logging.getLogger(__name__)
+
+EPS = 1e-12   # floor for logs, denominators and fractional-power bases
 
 STRATEGIES = (
     "baseline",
@@ -129,6 +125,28 @@ class LossSpec:
         return cls(**kept)
 
 
+class Term(NamedTuple):
+    """A loss term's value and VJP: ``vjp(g)`` returns the parts of its
+    input's cotangent, in the order they are summed; for a term over the
+    class probabilities, a list of (n, 2) arrays."""
+
+    value: np.float64
+    vjp: Callable
+
+
+@dataclass
+class Loss:
+    """The scalar batch loss, and the schedule that adds its gradient into
+    the model's parameter gradients; ``autodiff.backward`` runs it once."""
+
+    value: np.float64
+    schedule: Callable[[], None]
+    backward_done: bool = False
+    parents = ()   # walked by bench/spans.count_graph_nodes until ROADMAP item 2 retires it
+
+
+_ZERO = Term(np.float64(0.0), lambda g: [])   # a degenerate batch: no gradient
+
 _POS = np.array([0.0, 1.0])   # selects the P(g=1) column
 _NEG = np.array([1.0, 0.0])   # selects the P(g=0) column
 
@@ -137,11 +155,11 @@ _NEG = np.array([1.0, 0.0])   # selects the P(g=0) column
 class BatchView:
     """Per-batch classifier outputs with the derived constants the losses need.
 
-    The column accessors return (n, 1) value arrays; a loss that reads a
-    column hands its cotangent back to ``probs`` through that column's mask.
+    The column accessors return (n, 1) arrays; a loss that reads a column
+    hands its cotangent back to ``probs`` through that column's mask.
     """
 
-    probs: Node                       # (n, 2) graph node
+    probs: np.ndarray                 # (n, 2)
     labels: np.ndarray                # (n,) ints in {0, 1}
     predicted: np.ndarray             # (n,) arg-max of probs
     correct: np.ndarray               # (n,) bools
@@ -157,53 +175,37 @@ class BatchView:
         return onehot
 
     def _pick(self, cols: np.ndarray) -> np.ndarray:
-        return self.probs.value[np.arange(self.n), cols][:, None]
+        return self.probs[np.arange(self.n), cols][:, None]
 
     def r(self) -> np.ndarray:
         """(n, 1) confidence of the predicted class."""
         return self._pick(self.predicted)
 
     def prob_pos(self) -> np.ndarray:
-        return self.probs.value[:, 1:]
+        return self.probs[:, 1:]
 
     def prob_neg(self) -> np.ndarray:
-        return self.probs.value[:, :1]
+        return self.probs[:, :1]
 
     def true_prob(self) -> np.ndarray:
         """(n, 1) probability assigned to the true class."""
         return self._pick(self.labels)
 
 
-def make_batch_view(probs: Node, labels: np.ndarray,
+def make_batch_view(probs: np.ndarray, labels: np.ndarray,
                     epistemic_conf: np.ndarray | None = None) -> BatchView:
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.value.ndim != 2 or probs.value.shape[1] != 2:
-        raise ValueError(f"expected (n, 2) probabilities, got {probs.value.shape}")
-    if labels.shape[0] != probs.value.shape[0]:
+    if probs.ndim != 2 or probs.shape[1] != 2:
+        raise ValueError(f"expected (n, 2) probabilities, got {probs.shape}")
+    if labels.shape[0] != probs.shape[0]:
         raise ValueError("labels and probabilities disagree on batch size")
-    predicted = np.argmax(probs.value, axis=1)
+    predicted = np.argmax(probs, axis=1)
     if epistemic_conf is not None:
         epistemic_conf = np.asarray(epistemic_conf, dtype=np.float64)
         if epistemic_conf.shape != labels.shape:
             raise ValueError("epistemic confidences must be one scalar per sample")
     return BatchView(probs=probs, labels=labels, predicted=predicted,
                      correct=predicted == labels, epistemic_conf=epistemic_conf)
-
-
-def _term(value, op: str, batch: BatchView, backward) -> Node:
-    """Fused node for one loss term over the class probabilities.
-
-    ``backward(g)`` returns the term's parts of the probabilities' cotangent,
-    each already spread over both columns, in the order the term's op-by-op
-    graph delivers them; they are added to ``probs`` one at a time.
-    """
-    probs = batch.probs
-
-    def vjp(g):
-        for part in backward(g):
-            probs._accumulate(part)
-
-    return Node(value, op=op, parents=(probs,), vjps=(vjp,))
 
 
 def _column_sum(g: np.ndarray) -> np.ndarray:
@@ -216,37 +218,83 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=(0,), keepdims=True)
 
 
-def _in_order(parts: list) -> np.ndarray:
-    """((p0 + p1) + p2) + ...: cotangents summed as the graph would."""
-    return sum(parts[1:], parts[0])
+def _mean(a: np.ndarray):
+    """``a.mean()`` to the bit (numpy divides the same sum by the count),
+    without the Python-level wrapper around it."""
+    return a.sum() / a.size
+
+
+def _floored_log(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(max(a, EPS)), and its derivative with zero below the floor."""
+    floored = np.maximum(a, EPS)
+    return np.log(floored), np.where(a > EPS, 1.0 / floored, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the VAE terms: reconstruction and KL
+# ---------------------------------------------------------------------------
+
+def reconstruction_loss(x: np.ndarray, xhat: np.ndarray) -> Term:
+    """Mean per-coordinate binary cross-entropy against targets in [0, 1].
+    The VJP returns the reconstruction's cotangent."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != xhat.shape:
+        raise ValueError(f"target shape {x.shape} != reconstruction shape {xhat.shape}")
+    if x.min() < 0.0 or x.max() > 1.0:
+        raise ValueError("reconstruction targets must lie in [0, 1]; scale features first")
+    log_p, dlog_p = _floored_log(xhat)
+    log_q, dlog_q = _floored_log(1.0 - xhat)
+    x_neg = 1.0 - x
+    per_entry = x * log_p + x_neg * log_q
+
+    def vjp(g):
+        g_entry = -g / per_entry.size
+        return (g_entry * x) * dlog_p + (-((g_entry * x_neg) * dlog_q))
+
+    return Term(-_mean(per_entry), vjp)
+
+
+def kl_loss(mu: np.ndarray, logvar: np.ndarray) -> Term:
+    """KL(q(z|x) || N(0, I)), summed over latent dims, averaged over the batch.
+    The VJP returns (mu's parts, logvar's parts), two of each."""
+    e = np.exp(logvar)
+    per_sample = ((1.0 + logvar - mu * mu) - e).sum(axis=1, keepdims=True)
+    scale = -0.5 / per_sample.size
+
+    def vjp(g):
+        g_inner = g * scale
+        to_mu = -g_inner * mu             # once for each factor of mu * mu
+        return (to_mu, to_mu), (np.full(logvar.shape, g_inner), -g_inner * e)
+
+    return Term(per_sample.sum() * scale, vjp)
 
 
 # ---------------------------------------------------------------------------
 # classifier cross-entropy (the L_C term)
 # ---------------------------------------------------------------------------
 
-def _cross_entropy(batch: BatchView, weights: np.ndarray | None, op: str) -> Node:
+def _cross_entropy(batch: BatchView, weights: np.ndarray | None) -> Term:
     """-mean(w * log p_true), with w = 1 when ``weights`` is None."""
     log_t, dlog_t = _floored_log(batch.true_prob())
     per_sample = log_t if weights is None else weights * log_t
 
-    def backward(g):
+    def vjp(g):
         g_sample = -g / per_sample.size
         g_log = g_sample if weights is None else g_sample * weights
         return [(g_log * dlog_t) * batch._onehot(batch.labels)]
 
-    return _term(-_mean(per_sample), op, batch, backward)
+    return Term(-_mean(per_sample), vjp)
 
 
-def classifier_bce(batch: BatchView) -> Node:
-    return _cross_entropy(batch, None, "classifier_bce")
+def classifier_bce(batch: BatchView) -> Term:
+    return _cross_entropy(batch, None)
 
 
 # ---------------------------------------------------------------------------
 # strategy regularizers
 # ---------------------------------------------------------------------------
 
-def paired_confidence_loss(batch: BatchView, margin: float) -> Node:
+def paired_confidence_loss(batch: BatchView, margin: float) -> Term:
     """Hinge on confidence gaps between incorrect and correct predictions,
     separately within the predicted-positive and predicted-negative sides.
 
@@ -269,10 +317,10 @@ def paired_confidence_loss(batch: BatchView, margin: float) -> Node:
         side = (np.where(active, hinge_in, 0.0) * pair_mask).sum() * scale
         sides.append((side, select, pair_mask, active, scale))
     if not sides:
-        return constant(0.0)
+        return _ZERO
     value = _in_order([side[0] for side in sides])
 
-    def backward(g):
+    def vjp(g):
         parts = []
         for _, select, pair_mask, active, scale in sides:
             g_diff = ((g * scale) * pair_mask) * active
@@ -280,10 +328,10 @@ def paired_confidence_loss(batch: BatchView, margin: float) -> Node:
             parts.append(g_side * select)
         return parts
 
-    return _term(value, "paired_confidence", batch, backward)
+    return Term(value, vjp)
 
 
-def probability_loss(batch: BatchView) -> Node:
+def probability_loss(batch: BatchView) -> Term:
     """Mean wrong-side probability, averaged per true class then summed."""
     pos = (batch.labels == 1).astype(np.float64)[:, None]
     neg = (batch.labels == 0).astype(np.float64)[:, None]
@@ -293,13 +341,13 @@ def probability_loss(batch: BatchView) -> Node:
     if neg.sum() > 0:
         terms.append((batch.prob_pos(), neg, 1.0 / neg.sum(), _POS))
     if not terms:
-        return constant(0.0)
+        return _ZERO
     value = _in_order([(col * mask).sum() * scale for col, mask, scale, _ in terms])
 
-    def backward(g):
+    def vjp(g):
         return [((g * scale) * mask) * select for _, mask, scale, select in terms]
 
-    return _term(value, "probability", batch, backward)
+    return Term(value, vjp)
 
 
 def confidence_weights(batch: BatchView, weight_floor: float) -> np.ndarray:
@@ -316,12 +364,12 @@ def confidence_weights(batch: BatchView, weight_floor: float) -> np.ndarray:
     return (1.0 - weight_floor) * w_raw + weight_floor
 
 
-def weighted_classifier_loss(batch: BatchView, weight_floor: float) -> Node:
+def weighted_classifier_loss(batch: BatchView, weight_floor: float) -> Term:
     weights = confidence_weights(batch, weight_floor)[:, None]
-    return _cross_entropy(batch, weights, "weighted_classifier")
+    return _cross_entropy(batch, weights)
 
 
-def avuc_loss(batch: BatchView, threshold: float) -> Node:
+def avuc_loss(batch: BatchView, threshold: float) -> Term:
     """Log-ratio of miscalibrated to calibrated soft counts.
 
     u_i is the entropy of the predictive distribution normalized to [0, 1];
@@ -330,7 +378,7 @@ def avuc_loss(batch: BatchView, threshold: float) -> Node:
     inaccurate-certain (1 - r)(1 - tanh u), inaccurate-uncertain
     (1 - r) tanh u.
     """
-    p = batch.probs.value
+    p = batch.probs
     r = batch.r()
     log_p, dlog_p = _floored_log(p)
     u = -(p * log_p).sum(axis=1, keepdims=True) * (1.0 / math.log(2.0))
@@ -350,7 +398,7 @@ def avuc_loss(batch: BatchView, threshold: float) -> Node:
     den = n_ac + n_iu + EPS
     log_out, dlog_out = _floored_log(1.0 + num / den)
 
-    def backward(g):
+    def vjp(g):
         g_ratio = g * dlog_out
         g_num = g_ratio / den
         g_den = -g_ratio * num / (den * den)
@@ -363,11 +411,11 @@ def avuc_loss(batch: BatchView, threshold: float) -> Node:
         g_sum = -((g_tu * (1.0 - tu * tu)) * (1.0 / math.log(2.0)))
         return [g_r * batch._onehot(batch.predicted), g_sum * log_p, (g_sum * p) * dlog_p]
 
-    return _term(log_out, "avuc", batch, backward)
+    return Term(log_out, vjp)
 
 
 def soft_ece_loss(batch: BatchView, n_bins: int, temperature: float,
-                  norm_order: float) -> Node:
+                  norm_order: float) -> Term:
     """Soft-binned expected calibration error.
 
     Membership of sample i in bin m is a softmax over -(r_i - c_m)^2 / T with
@@ -390,7 +438,7 @@ def soft_ece_loss(batch: BatchView, n_bins: int, temperature: float,
     inner = (weights * gap_pow).sum()
     q = float(1.0 / norm_order)
 
-    def backward(g):
+    def vjp(g):
         # d(inner ** q); below q = 1 the base is floored at EPS
         base = np.maximum(inner, EPS) if q < 1.0 else inner
         g_inner = g * q * base ** (q - 1.0)
@@ -405,10 +453,10 @@ def soft_ece_loss(batch: BatchView, n_bins: int, temperature: float,
         g_r = _column_sum(g_conf * membership) + _column_sum(g_diff)
         return [g_r * batch._onehot(batch.predicted)]
 
-    return _term(inner ** q, "soft_ece", batch, backward)
+    return Term(inner ** q, vjp)
 
 
-def mmce_loss(batch: BatchView, kernel_width: float) -> Node:
+def mmce_loss(batch: BatchView, kernel_width: float) -> Term:
     """Kernel-embedding calibration error with a Laplacian kernel.
 
     Quadratic forms over the kernel matrix: incorrect pairs weighted r_i r_j,
@@ -437,7 +485,7 @@ def mmce_loss(batch: BatchView, kernel_width: float) -> Node:
     assert total is not None
     clipped = np.where(total > 0, total, 0.0)
 
-    def backward(g):
+    def vjp(g):
         g_total = (g * 0.5 * np.maximum(clipped, EPS) ** (0.5 - 1.0)) * (total > 0)
         # the kernel and r gather cotangents from up to three quadratic forms
         g_k, g_r = [], []
@@ -467,14 +515,14 @@ def mmce_loss(batch: BatchView, kernel_width: float) -> Node:
             g_r[0:0] = via_kernel
         return [_in_order(g_r) * batch._onehot(batch.predicted)]
 
-    return _term(clipped ** 0.5, "mmce", batch, backward)
+    return Term(clipped ** 0.5, vjp)
 
 
 # ---------------------------------------------------------------------------
 # composite dispatch
 # ---------------------------------------------------------------------------
 
-def strategy_regularizer(batch: BatchView, spec: LossSpec) -> Node | None:
+def strategy_regularizer(batch: BatchView, spec: LossSpec) -> Term | None:
     if spec.strategy == "paired_confidence":
         return paired_confidence_loss(batch, spec.margin)
     if spec.strategy == "probability":
@@ -488,42 +536,37 @@ def strategy_regularizer(batch: BatchView, spec: LossSpec) -> Node | None:
     return None
 
 
-def _weighted_sum(first: Node, weighted: list[tuple[Node, float]]) -> Node:
-    """first + t1 * w1 + t2 * w2 + ..., added left to right.
-
-    One node in place of the chain of graph products and sums it stands
-    for: it computes the same value and hands term i the cotangent g * w_i,
-    and its parents are the terms, so each term's value stays readable.
-    """
-    if not weighted:
-        return first
-    value = first.value
-    for term, weight in weighted:
-        value = value + term.value * weight
-    vjps = (lambda g: g,) + tuple((lambda g, w=weight: g * w) for _, weight in weighted)
-    return Node(value, op="total", parents=(first, *(term for term, _ in weighted)),
-                vjps=vjps)
-
-
 def total_loss(x: np.ndarray, result: ForwardResult, labels: np.ndarray,
                spec: LossSpec,
-               epistemic_conf: np.ndarray | None = None) -> tuple[Node, BatchView]:
+               epistemic_conf: np.ndarray | None = None) -> tuple[Loss, BatchView]:
     """Assemble the full training loss for one batch.
 
-    Terms with a coefficient of exactly 0.0 are omitted from the graph, so
-    dropping a term and zeroing its coefficient are indistinguishable, down
-    to the gradients. The loss node's parents are the terms, in the order
-    reconstruction, KL, classifier, regularizer.
+    Terms with a coefficient of exactly 0.0 are omitted, so dropping a term
+    and zeroing its coefficient are indistinguishable, down to the
+    gradients. The value adds reconstruction, KL, classifier and
+    regularizer, in that order, left to right.
     """
     batch = make_batch_view(result.probs, labels, epistemic_conf)
-    weighted = []
-    if spec.lambda_kl != 0.0:
-        weighted.append((kl_loss(result.mu_z, result.logvar_z), spec.lambda_kl))
+    recon = reconstruction_loss(x, result.xhat)
+    kl = kl_loss(result.mu_z, result.logvar_z) if spec.lambda_kl != 0.0 else None
+    on_probs = []                     # (term, weight) pairs reading the probabilities
     if spec.lambda_c != 0.0:
         if spec.strategy == "confidence_weight":
-            weighted.append((weighted_classifier_loss(batch, spec.weight_floor), spec.lambda_c))
+            on_probs.append((weighted_classifier_loss(batch, spec.weight_floor), spec.lambda_c))
         else:
-            weighted.append((classifier_bce(batch), spec.lambda_c))
+            on_probs.append((classifier_bce(batch), spec.lambda_c))
     if spec.strategy not in ("baseline", "confidence_weight") and spec.lambda_n != 0.0:
-        weighted.append((strategy_regularizer(batch, spec), spec.lambda_n))
-    return _weighted_sum(reconstruction_loss(x, result.xhat), weighted), batch
+        on_probs.append((strategy_regularizer(batch, spec), spec.lambda_n))
+
+    value = recon.value
+    if kl is not None:
+        value = value + kl.value * spec.lambda_kl
+    for term, weight in on_probs:
+        value = value + term.value * weight
+
+    def schedule():
+        g_probs = _in_order([part for term, weight in on_probs for part in term.vjp(weight)])
+        result.model.backward(result, recon.vjp(1.0), g_probs,
+                              kl.vjp(spec.lambda_kl) if kl is not None else None)
+
+    return Loss(value, schedule), batch

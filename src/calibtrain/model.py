@@ -13,29 +13,28 @@ argmax over columns is the predicted label.
 
 The layers are plain numpy, and each layer's forward arithmetic exists once:
 training (``forward``) and evaluation (``predict_probs``, ``encode_values``,
-``classify_values``) call the same functions. ``forward`` keeps the
-activations the backward pass needs and returns autodiff nodes for the loss
-head to build on, one fused node per layer: encoder hidden, mu, logvar,
-latent sample, decoder and classifier. Each has a hand-written backward pass
-that writes its parameter gradients straight into the flat gradient buffer.
-The backward passes repeat, operand for operand, what an autodiff graph with
-one node per matmul, bias add and nonlinearity would compute, and the
-fusion keeps the points where cotangents meet (mu, logvar, the hidden layer,
-z) as graph nodes, so the engine sums them in the same order as that graph.
-The gradients are therefore bitwise those of the op-by-op graph, which the
-tests keep as the reference.
+``classify_values``) call the same functions. ``forward`` returns plain
+arrays and keeps the activations the backward pass reads. ``backward`` takes
+the cotangents a loss hands the reconstruction, the class probabilities and
+the latent moments, applies each layer's hand-written vector-Jacobian
+product in one fixed order, and adds the parameter gradients straight into
+the flat gradient buffer. The products repeat, operand for operand, what an
+autodiff graph with one node per matmul, bias add and nonlinearity would
+compute, and where cotangents meet (mu, logvar, the hidden layer, z) they
+are summed in that graph's order. The gradients are therefore bitwise those
+of the op-by-op graph, which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import EPS, Node, Param, ParamSet
+from .autodiff import Param, ParamSet
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -52,11 +51,22 @@ def _check_finite(name: str, values: np.ndarray) -> None:
 
 @dataclass
 class ForwardResult:
-    xhat: Node
-    mu_z: Node
-    logvar_z: Node
-    z: Node
-    probs: Node
+    """One training forward pass: the outputs a loss reads, then the
+    activations ``VaeClassifier.backward`` reads."""
+
+    xhat: np.ndarray
+    mu_z: np.ndarray
+    logvar_z: np.ndarray
+    z: np.ndarray
+    probs: np.ndarray
+    model: VaeClassifier = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    h_enc: np.ndarray = field(repr=False)
+    raw_logvar: np.ndarray = field(repr=False)   # before the clamp
+    eps: np.ndarray | None = field(repr=False)   # the latent draw; None when z is mu
+    sigma: np.ndarray | None = field(repr=False)
+    h_dec: np.ndarray = field(repr=False)
+    h_clf: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +107,10 @@ def _clamp_logvar(raw: np.ndarray) -> np.ndarray:
 
 def _affine_backward(g: np.ndarray, a: np.ndarray, w: Param, b: Param,
                      to_input: bool = True) -> np.ndarray | None:
-    """Accumulate the gradients of ``a @ w + b``; return the input's cotangent."""
-    b._accumulate(g.sum(axis=0))
-    w._accumulate(a.T @ g)
+    """Add the gradients of ``a @ w + b`` into the parameters' ``grad``;
+    return the input's cotangent."""
+    np.add(b.grad, g.sum(axis=0), out=b.grad)
+    np.add(w.grad, a.T @ g, out=w.grad)
     return g @ w.value.T if to_input else None
 
 
@@ -107,26 +118,15 @@ def _tanh_backward(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g * (1.0 - t * t)
 
 
-def _layer_node(op: str, value: np.ndarray, params: ParamSet, inp: Node | None,
-                backward) -> Node:
-    """Graph node for one fused layer reading ``inp`` (None for the input
-    features, which get no node). ``backward(g)`` accumulates the layer's
-    parameter gradients and returns the cotangent of ``inp``; it runs once,
-    at whichever of the node's two edges ``backward`` walks first."""
-    done = []
-
-    def run(g):
-        if not done:
-            done.append(backward(g))
-        return done[0]
-
-    def to_params(g):
-        run(g)
-        return None
-
-    if inp is None:
-        return Node(value, op=op, parents=(params.node,), vjps=(to_params,))
-    return Node(value, op=op, parents=(inp, params.node), vjps=(run, to_params))
+def _in_order(parts) -> np.ndarray | None:
+    """((p0 + p1) + p2) + ...: cotangents summed left to right, as an
+    autodiff graph sums them where they meet. None parts are skipped, and
+    no parts give None."""
+    total = None
+    for part in parts:
+        if part is not None:
+            total = part if total is None else total + part
+    return total
 
 
 class VaeClassifier:
@@ -203,45 +203,62 @@ class VaeClassifier:
             raise ValueError(f"expected input of shape (n, {self.d}), got {x.shape}")
         if sample_latent and rng is None:
             raise ValueError("sample_latent=True requires an rng")
-        p = self.params
-
         h, mu, raw, lv = self._encode(x)
-        h_node = _layer_node("enc.hidden", h, p, None, lambda g: _affine_backward(
-            _tanh_backward(g, h), x, p["enc.w1"], p["enc.b1"], to_input=False))
-        mu_node = _layer_node("enc.mu", mu, p, h_node, lambda g: _affine_backward(
-            g, h, p["enc.w_mu"], p["enc.b_mu"]))
-        # raw > bound has the sign of raw - bound: the difference is exact
-        # near the bound (Sterbenz), so these are the clamp's relu masks
-        above_min, above_max = raw > LOGVAR_MIN, raw > LOGVAR_MAX
-        lv_node = _layer_node("enc.logvar", lv, p, h_node, lambda g: _affine_backward(
-            g * above_min + (-g) * above_max, h, p["enc.w_lv"], p["enc.b_lv"]))
-
+        eps = sigma = None
         if sample_latent:
             eps = rng.standard_normal(mu.shape)
             sigma = np.exp(lv * 0.5)
             z = mu + sigma * eps
-            z_node = Node(z, op="latent", parents=(mu_node, lv_node),
-                          vjps=(lambda g: g, lambda g: g * eps * sigma * 0.5))
         else:
-            z, z_node = mu, mu_node
-
+            z = mu
         hd, xhat = self._decode(z)
-
-        def decoder_backward(g):
-            g_hd = _affine_backward(g * xhat * (1.0 - xhat), hd, p["dec.w2"], p["dec.b2"])
-            return _affine_backward(_tanh_backward(g_hd, hd), z, p["dec.w1"], p["dec.b1"])
-
         hc, probs = self._classify(z)
+        return ForwardResult(xhat=xhat, mu_z=mu, logvar_z=lv, z=z, probs=probs, model=self,
+                             x=x, h_enc=h, raw_logvar=raw, eps=eps, sigma=sigma,
+                             h_dec=hd, h_clf=hc)
 
-        def classifier_backward(g):
-            dot = (g * probs).sum(axis=-1, keepdims=True)
-            g_hc = _affine_backward(probs * (g - dot), hc, p["clf.w2"], p["clf.b2"])
-            return _affine_backward(_tanh_backward(g_hc, hc), z, p["clf.w1"], p["clf.b1"])
+    def backward(self, result: ForwardResult, g_xhat: np.ndarray,
+                 g_probs: np.ndarray | None = None, kl_parts: tuple | None = None) -> None:
+        """Add a loss's parameter gradients into ``params.grad``, given its
+        cotangents for the reconstruction and the class probabilities (None
+        when no term reads them), and the KL term's (mu parts, logvar parts)
+        (None without that term). Where cotangents meet, they are summed in
+        the order the op-by-op graph of the same step sums them."""
+        p = self.params
+        z, hd, hc = result.z, result.h_dec, result.h_clf
+        g_hd = _affine_backward(g_xhat * result.xhat * (1.0 - result.xhat), hd,
+                                p["dec.w2"], p["dec.b2"])
+        from_decoder = _affine_backward(_tanh_backward(g_hd, hd), z, p["dec.w1"], p["dec.b1"])
+        from_classifier = None
+        if g_probs is not None:
+            probs = result.probs
+            dot = (g_probs * probs).sum(axis=-1, keepdims=True)
+            g_hc = _affine_backward(probs * (g_probs - dot), hc, p["clf.w2"], p["clf.b2"])
+            from_classifier = _affine_backward(_tanh_backward(g_hc, hc), z,
+                                               p["clf.w1"], p["clf.b1"])
 
-        return ForwardResult(
-            xhat=_layer_node("decoder", xhat, p, z_node, decoder_backward),
-            mu_z=mu_node, logvar_z=lv_node, z=z_node,
-            probs=_layer_node("classifier", probs, p, z_node, classifier_backward))
+        kl_mu, kl_lv = kl_parts if kl_parts is not None else ((), ())
+        if result.eps is None:
+            g_mu = _in_order([from_decoder, *kl_mu, from_classifier])
+            g_lv = _in_order(kl_lv)
+        else:
+            g_z = _in_order([from_decoder, from_classifier])
+            latent_mu, latent_lv = g_z, g_z * result.eps * result.sigma * 0.5
+            if g_probs is None:       # no term on probs: the graph walks z before KL
+                g_mu, g_lv = _in_order([latent_mu, *kl_mu]), _in_order([latent_lv, *kl_lv])
+            else:
+                g_mu, g_lv = _in_order([*kl_mu, latent_mu]), _in_order([*kl_lv, latent_lv])
+
+        h = result.h_enc
+        g_h = _affine_backward(g_mu, h, p["enc.w_mu"], p["enc.b_mu"])
+        if g_lv is not None:
+            # raw > bound has the sign of raw - bound: the difference is exact
+            # near the bound (Sterbenz), so these are the clamp's relu masks
+            raw = result.raw_logvar
+            g_raw = g_lv * (raw > LOGVAR_MIN) + (-g_lv) * (raw > LOGVAR_MAX)
+            g_h = g_h + _affine_backward(g_raw, h, p["enc.w_lv"], p["enc.b_lv"])
+        _affine_backward(_tanh_backward(g_h, h), result.x, p["enc.w1"], p["enc.b1"],
+                         to_input=False)
 
     # -- evaluation / sampling ----------------------------------------------
 
@@ -256,65 +273,6 @@ class VaeClassifier:
         """Deterministic class probabilities (z = mu), shape (n, 2)."""
         mu, _ = self.encode_values(np.asarray(x, dtype=np.float64))
         return self.classify_values(mu)
-
-
-# ---------------------------------------------------------------------------
-# losses on the VAE heads
-# ---------------------------------------------------------------------------
-# Each loss is one fused node; its backward pass repeats the arithmetic of the
-# op-by-op graph it replaces (kept in the tests as the reference) operand for
-# operand, and feeds each parent its parts in that graph's order.
-
-def _mean(a: np.ndarray):
-    """``a.mean()`` to the bit (numpy divides the same sum by the count),
-    without the Python-level wrapper around it."""
-    return a.sum() / a.size
-
-
-def _floored_log(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(max(a, EPS)), and its derivative with zero below the floor."""
-    floored = np.maximum(a, EPS)
-    return np.log(floored), np.where(a > EPS, 1.0 / floored, 0.0)
-
-
-def reconstruction_loss(x: np.ndarray, xhat: Node) -> Node:
-    """Mean per-coordinate binary cross-entropy against targets in [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != xhat.value.shape:
-        raise ValueError(f"target shape {x.shape} != reconstruction shape {xhat.value.shape}")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("reconstruction targets must lie in [0, 1]; scale features first")
-    log_p, dlog_p = _floored_log(xhat.value)
-    log_q, dlog_q = _floored_log(1.0 - xhat.value)
-    x_neg = 1.0 - x
-    per_entry = x * log_p + x_neg * log_q
-
-    def vjp(g):
-        g_entry = -g / per_entry.size
-        return (g_entry * x) * dlog_p + (-((g_entry * x_neg) * dlog_q))
-
-    return Node(-_mean(per_entry), op="reconstruction", parents=(xhat,), vjps=(vjp,))
-
-
-def kl_loss(mu: Node, logvar: Node) -> Node:
-    """KL(q(z|x) || N(0, I)), summed over latent dims, averaged over the batch."""
-    m, lv = mu.value, logvar.value
-    e = np.exp(lv)
-    per_sample = ((1.0 + lv - m * m) - e).sum(axis=1, keepdims=True)
-    scale = -0.5 / per_sample.size
-
-    def to_mu(g):
-        part = -(g * scale) * m           # once for each factor of mu * mu
-        mu._accumulate(part)
-        mu._accumulate(part)
-
-    def to_logvar(g):
-        g_inner = g * scale
-        logvar._accumulate(np.full(lv.shape, g_inner))
-        logvar._accumulate(-g_inner * e)
-
-    return Node(per_sample.sum() * scale, op="kl", parents=(mu, logvar),
-                vjps=(to_mu, to_logvar))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Everything here is deliberately naive (plain loops, no code shared with the
 package) so it can serve as an oracle for the real implementations. The
 per-record metrics are the package's former metric code, one object per
 record, which the array metrics must match bitwise, and ``perturb`` is the
-former per-sample input noise. The other exceptions are the last three
-sections: the graph ops the package no longer
-needs (the op-level tests check their gradients on their own), and the VAE
-and the loss heads built from them one node per operation, which the fused
-layers and loss heads of the package must match bitwise.
+former per-sample input noise. The other exceptions are the last four
+sections: the reverse-mode autodiff engine the package used to train
+through, the single graph ops built on it (the op-level tests check the
+engine and the ops against finite differences), and the VAE and the loss
+heads built from them one node per operation, which the package's layer and
+loss-term backward passes must match bitwise.
 """
 
 from __future__ import annotations
@@ -18,25 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calibtrain.autodiff import (
-    EPS,
-    Node,
-    ShapeMismatch,
-    _check_broadcast,
-    _unbroadcast,
-    add,
-    constant,
-    neg,
-)
+from calibtrain.autodiff import Param, ShapeMismatch
 from calibtrain.data import Subset
-from calibtrain.losses import BatchView, confidence_weights, make_batch_view
-from calibtrain.model import (
-    LOGVAR_MAX,
-    LOGVAR_MIN,
-    ForwardResult,
-    _sigmoid_values,
-    _softmax_values,
-)
+from calibtrain.losses import EPS, BatchView, confidence_weights, make_batch_view
+from calibtrain.model import LOGVAR_MAX, LOGVAR_MIN, _sigmoid_values, _softmax_values
 
 FD_STEP = 1e-5
 
@@ -374,14 +360,214 @@ def brute_soft_ece(rs, corrects, n_bins, temperature, order) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the reverse-mode autodiff engine
+# ---------------------------------------------------------------------------
+# Nodes form an acyclic computation graph; ``backward`` walks it once in
+# reverse topological order and accumulates gradients into every reachable
+# node that depends on a trainable leaf. Constants, and subgraphs built from
+# constants alone, get no gradient and are not visited. The package trained
+# through this engine until its step became one fixed backward schedule.
+
+def _as_array(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+class Node:
+    """One value in the computation graph.
+
+    ``parents`` holds the input nodes and ``_vjps`` the matching
+    vector-Jacobian closures used by ``backward``. A closure returns the
+    parent's gradient contribution, or None when it has added that
+    contribution itself.
+    ``requires_grad`` marks trainable leaves and every node computed from
+    one; ``backward`` skips the rest. ``grad`` has the shape of ``value``:
+    it is allocated when the first contribution arrives and reads as zeros
+    before then.
+    """
+
+    __slots__ = ("value", "_grad", "op", "parents", "_vjps", "requires_grad",
+                 "_backward_done")
+
+    def __init__(self, value, op: str = "leaf", parents: tuple = (),
+                 vjps: tuple = (), requires_grad: bool | None = None):
+        self.value = _as_array(value)
+        self._grad = None
+        self.op = op
+        self.parents = parents
+        self._vjps = vjps
+        if requires_grad is None:
+            requires_grad = False
+            for parent in parents:
+                if parent.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
+        self._backward_done = False
+
+    @property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self.value) if self._grad is None else self._grad
+
+    def _accumulate(self, contribution: np.ndarray) -> None:
+        self._grad = contribution if self._grad is None else self._grad + contribution
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    def __repr__(self):
+        return f"Node(op={self.op!r}, shape={self.value.shape})"
+
+    # operator sugar; plain numbers/arrays are lifted to constants
+    def __add__(self, other):
+        return add(self, _lift(other))
+
+    def __radd__(self, other):
+        return add(_lift(other), self)
+
+    def __sub__(self, other):
+        return add(self, neg(_lift(other)))
+
+    def __rsub__(self, other):
+        return add(_lift(other), neg(self))
+
+    def __mul__(self, other):
+        return mul(self, _lift(other))
+
+    def __rmul__(self, other):
+        return mul(_lift(other), self)
+
+    def __neg__(self):
+        return neg(self)
+
+
+def constant(x) -> Node:
+    """Leaf node that never receives a gradient."""
+    return Node(x, op="const")
+
+
+def _lift(x) -> Node:
+    return x if isinstance(x, Node) else constant(x)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` back down to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _check_broadcast(a: Node, b: Node, opname: str):
+    if a.value.shape == b.value.shape:
+        return
+    try:
+        np.broadcast_shapes(a.value.shape, b.value.shape)
+    except ValueError:
+        raise ShapeMismatch(
+            f"{opname}: shapes {a.value.shape} and {b.value.shape} do not conform"
+        ) from None
+
+
+def add(a: Node, b: Node) -> Node:
+    _check_broadcast(a, b, "add")
+    out = a.value + b.value
+    return Node(out, op="add", parents=(a, b), vjps=(
+        lambda g: _unbroadcast(g, a.value.shape),
+        lambda g: _unbroadcast(g, b.value.shape),
+    ))
+
+
+def neg(a: Node) -> Node:
+    return Node(-a.value, op="neg", parents=(a,), vjps=(lambda g: -g,))
+
+
+def mul(a: Node, b: Node) -> Node:
+    _check_broadcast(a, b, "mul")
+    out = a.value * b.value
+    return Node(out, op="mul", parents=(a, b), vjps=(
+        lambda g: _unbroadcast(g * b.value, a.value.shape),
+        lambda g: _unbroadcast(g * a.value, b.value.shape),
+    ))
+
+
+def _topo_order(root: Node) -> list[Node]:
+    """Nodes that require a gradient, parents before children."""
+    order: list[Node] = []
+    seen: set[Node] = set()      # nodes hash by identity
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for parent in node.parents:
+            if parent.requires_grad and parent not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def backward(loss: Node) -> None:
+    """Accumulate ``grad`` on every node reachable from ``loss`` that
+    requires one.
+
+    ``loss`` must be scalar. A second call on the same node is rejected;
+    rebuild the graph (or reset gradients) between steps instead. A node
+    with several children sums their contributions in reverse topological
+    order, so a graph of the same shape always rounds the same way.
+    """
+    if loss.value.shape != ():
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
+    if loss._backward_done:
+        raise RuntimeError("backward already called on this node; rebuild the graph")
+    loss._backward_done = True
+    if not loss.requires_grad:
+        return
+
+    order = _topo_order(loss)
+    loss._grad = np.ones_like(loss.value)
+    for node in reversed(order):
+        g = node._grad
+        if g is None:
+            continue
+        for parent, vjp in zip(node.parents, node._vjps):
+            if parent.requires_grad:
+                contribution = vjp(g)
+                if contribution is not None:
+                    parent._accumulate(contribution)
+
+
+# ---------------------------------------------------------------------------
 # graph ops: one autodiff node per operation
 # ---------------------------------------------------------------------------
-# The package builds its training step from fused nodes only; these are the
-# single operations the reference graphs below are made of.
+# The single operations the reference graphs below are made of.
 
 def param(x) -> Node:
     """Trainable leaf node; ``backward`` accumulates into its ``grad``."""
     return Node(x, op="param", requires_grad=True)
+
+
+class ParamLeaf(Node):
+    """Trainable leaf over a package :class:`Param`: its value and grad are
+    the parameter's views, and ``backward`` adds into the grad in place."""
+
+    __slots__ = ()
+
+    def __init__(self, p: Param):
+        super().__init__(p.value, op="param", requires_grad=True)
+        self._grad = p.grad
+
+    def _accumulate(self, contribution: np.ndarray) -> None:
+        np.add(self._grad, contribution, out=self._grad)
 
 
 def div(a: Node, b: Node) -> Node:
@@ -510,10 +696,22 @@ def clamp(a: Node, lo: float, hi: float) -> Node:
 # the VAE built op by op as an autodiff graph
 # ---------------------------------------------------------------------------
 # The model used to train through this graph: one node per matmul, bias add,
-# nonlinearity and clamp step. It is the reference that the fused layers of
+# nonlinearity and clamp step. It is the reference that the layers of
 # calibtrain.model, with their hand-written backward passes, must match
-# bitwise, forward values and parameter gradients alike. The parameter nodes
-# are the model's own, so ``backward`` fills the model's gradient buffer.
+# bitwise, forward values and parameter gradients alike. The parameter leaves
+# stand on the model's own parameters, so ``backward`` fills the model's
+# gradient buffer.
+
+@dataclass
+class GraphForward:
+    """``model.forward``'s outputs as graph nodes."""
+
+    xhat: Node
+    mu_z: Node
+    logvar_z: Node
+    z: Node
+    probs: Node
+
 
 def _graph_encode(params, x):
     h = tanh(matmul(x, params["enc.w1"]) + params["enc.b1"])
@@ -532,16 +730,17 @@ def _graph_classify(params, z):
     return softmax(matmul(h, params["clf.w2"]) + params["clf.b2"])
 
 
-def graph_vae_forward(model, x, rng=None, sample_latent=False):
+def graph_vae_forward(model, x, rng=None, sample_latent=False) -> GraphForward:
     """``model.forward`` as one autodiff node per operation."""
-    mu, lv = _graph_encode(model.params, constant(np.asarray(x, dtype=np.float64)))
+    params = {name: ParamLeaf(p) for name, p in model.params.items()}
+    mu, lv = _graph_encode(params, constant(np.asarray(x, dtype=np.float64)))
     if sample_latent:
         eps = constant(rng.standard_normal(mu.value.shape))
         z = mu + exp(lv * 0.5) * eps
     else:
         z = mu
-    return ForwardResult(xhat=_graph_decode(model.params, z), mu_z=mu, logvar_z=lv,
-                         z=z, probs=_graph_classify(model.params, z))
+    return GraphForward(xhat=_graph_decode(params, z), mu_z=mu, logvar_z=lv,
+                        z=z, probs=_graph_classify(params, z))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +777,10 @@ class GraphBatchView(BatchView):
         return self._col("true", onehot)
 
 
-def graph_batch_view(batch: BatchView) -> GraphBatchView:
-    return GraphBatchView(probs=batch.probs, labels=batch.labels, predicted=batch.predicted,
+def graph_batch_view(probs: Node, labels, epistemic_conf=None) -> GraphBatchView:
+    """The package's batch view of ``probs.value``, with ``probs`` the node."""
+    batch = make_batch_view(probs.value, labels, epistemic_conf)
+    return GraphBatchView(probs=probs, labels=batch.labels, predicted=batch.predicted,
                           correct=batch.correct, epistemic_conf=batch.epistemic_conf)
 
 
@@ -706,9 +907,9 @@ def graph_regularizer(batch: GraphBatchView, spec) -> Node:
     return graph_mmce_loss(batch, spec.kernel_width)
 
 
-def graph_total_loss(x, result: ForwardResult, labels, spec, epistemic_conf=None):
+def graph_total_loss(x, result: GraphForward, labels, spec, epistemic_conf=None):
     """``losses.total_loss`` as one autodiff node per operation."""
-    batch = graph_batch_view(make_batch_view(result.probs, labels, epistemic_conf))
+    batch = graph_batch_view(result.probs, labels, epistemic_conf)
     loss = graph_reconstruction_loss(x, result.xhat)
     if spec.lambda_kl != 0.0:
         loss = loss + graph_kl_loss(result.mu_z, result.logvar_z) * spec.lambda_kl

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
-from calibtrain.autodiff import backward, constant
+from calibtrain.autodiff import backward
 from calibtrain.data import DataSplit, FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.harness import (
     EpochEntry,
@@ -226,7 +226,7 @@ def test_criterion_3_calibration_consistency():
 
 def _two_class_view(prob_pos, labels, epi=None):
     p = np.asarray(prob_pos, dtype=np.float64)
-    probs = constant(np.stack([1.0 - p, p], axis=1))
+    probs = np.stack([1.0 - p, p], axis=1)
     return make_batch_view(probs, np.asarray(labels), epistemic_conf=epi)
 
 

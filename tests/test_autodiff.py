@@ -1,5 +1,6 @@
-"""Gradient and invariant checks for the reverse-mode engine and for the
-single graph ops that the reference graphs in ``oracles`` are built from."""
+"""Gradient and invariant checks for the reverse-mode engine and the single
+graph ops that the reference graphs in ``oracles`` are built from, and for
+the package's parameter buffers and optimiser."""
 
 import numpy as np
 import pytest
@@ -13,36 +14,36 @@ def _grad_of(build, x0):
     """Analytic gradient of a scalar graph w.r.t. a single leaf array."""
     leaf = ops.param(x0)
     loss = build(leaf)
-    ad.backward(loss)
+    ops.backward(loss)
     return leaf.grad
 
 
 def _value_of(build, x0):
-    return float(build(ad.constant(x0)).value)
+    return float(build(ops.constant(x0)).value)
 
 
 OPS = {
-    "matmul": lambda x: ops.mean(ops.matmul(x, ad.constant(np.arange(12.0).reshape(4, 3)))),
-    "add_broadcast": lambda x: ops.nsum(ad.mul(ad.add(x, ad.constant(np.ones((1, 4)))), x)),
-    "mul": lambda x: ops.nsum(ad.mul(x, x)),
-    "div": lambda x: ops.nsum(ops.div(x, ad.constant(np.full((3, 4), 2.5)))),
-    "div_denominator": lambda x: ops.nsum(ops.div(ad.constant(np.ones((3, 4))), x + 3.0)),
+    "matmul": lambda x: ops.mean(ops.matmul(x, ops.constant(np.arange(12.0).reshape(4, 3)))),
+    "add_broadcast": lambda x: ops.nsum(ops.mul(ops.add(x, ops.constant(np.ones((1, 4)))), x)),
+    "mul": lambda x: ops.nsum(ops.mul(x, x)),
+    "div": lambda x: ops.nsum(ops.div(x, ops.constant(np.full((3, 4), 2.5)))),
+    "div_denominator": lambda x: ops.nsum(ops.div(ops.constant(np.ones((3, 4))), x + 3.0)),
     "relu": lambda x: ops.nsum(ops.relu(x)),
     "abs": lambda x: ops.nsum(ops.absolute(x)),
     "sigmoid": lambda x: ops.nsum(ops.sigmoid(x)),
     "tanh": lambda x: ops.nsum(ops.tanh(x)),
     "exp": lambda x: ops.mean(ops.exp(x)),
     "log": lambda x: ops.nsum(ops.log(x + 4.0)),
-    "softmax": lambda x: ops.nsum(ad.mul(ops.softmax(x), ad.constant(np.arange(12.0).reshape(3, 4)))),
+    "softmax": lambda x: ops.nsum(ops.mul(ops.softmax(x), ops.constant(np.arange(12.0).reshape(3, 4)))),
     "mean": lambda x: ops.mean(x),
-    "sum_axis0": lambda x: ops.nsum(ad.mul(ops.nsum(x, axis=0), ops.nsum(x, axis=0))),
-    "sum_axis1": lambda x: ops.nsum(ad.mul(ops.nsum(x, axis=1), ops.nsum(x, axis=1))),
-    "power": lambda x: ops.nsum(ops.power(ad.mul(x, x) + 1.0, 1.7)),
-    "sqrt": lambda x: ops.power(ops.nsum(ad.mul(x, x)) + 1.0, 0.5),
+    "sum_axis0": lambda x: ops.nsum(ops.mul(ops.nsum(x, axis=0), ops.nsum(x, axis=0))),
+    "sum_axis1": lambda x: ops.nsum(ops.mul(ops.nsum(x, axis=1), ops.nsum(x, axis=1))),
+    "power": lambda x: ops.nsum(ops.power(ops.mul(x, x) + 1.0, 1.7)),
+    "sqrt": lambda x: ops.power(ops.nsum(ops.mul(x, x)) + 1.0, 0.5),
     "transpose": lambda x: ops.nsum(ops.matmul(ops.transpose(x), x)),
     "hinge": lambda x: ops.nsum(ops.relu(x - 0.3)),
     "clamp": lambda x: ops.nsum(ops.clamp(x, -0.5, 0.5)),
-    "maximum": lambda x: ops.nsum(ops.maximum(x, ad.constant(np.zeros((3, 4)) + 0.1))),
+    "maximum": lambda x: ops.nsum(ops.maximum(x, ops.constant(np.zeros((3, 4)) + 0.1))),
 }
 
 
@@ -64,72 +65,72 @@ def test_op_gradients_match_finite_differences(name):
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
-    extreme = ops.softmax(ad.constant(rng.standard_normal((50, 2)) * 30)).value
+    extreme = ops.softmax(ops.constant(rng.standard_normal((50, 2)) * 30)).value
     assert np.all(np.abs(extreme.sum(axis=1) - 1.0) < 1e-12)
     # open-interval bounds hold wherever float64 can represent them
-    s = ops.softmax(ad.constant(rng.standard_normal((50, 2)) * 5)).value
+    s = ops.softmax(ops.constant(rng.standard_normal((50, 2)) * 5)).value
     assert np.all(np.abs(s.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(s > 0) and np.all(s < 1)
-    sym = ops.softmax(ad.constant(np.array([[0.0, 0.0]]))).value
+    sym = ops.softmax(ops.constant(np.array([[0.0, 0.0]]))).value
     assert np.allclose(sym, [[0.5, 0.5]], atol=0)
 
 
 def test_log_floor():
-    x = ad.constant(np.array([[0.0]]))
+    x = ops.constant(np.array([[0.0]]))
     out = ops.log(x)
     assert out.value[0, 0] == np.log(1e-12)
     # below the floor the function is constant, so the gradient is zero
     leaf = ops.param(np.array([[0.0]]))
-    ad.backward(ops.nsum(ops.log(leaf)))
+    ops.backward(ops.nsum(ops.log(leaf)))
     assert leaf.grad[0, 0] == 0.0
 
 
 def test_hinge_subgradient_values():
     for x0, expected in [(0.5, 1.0), (0.1, 0.0), (0.3, 0.0)]:
         leaf = ops.param(np.array(x0))
-        ad.backward(ops.relu(leaf - 0.3))
+        ops.backward(ops.relu(leaf - 0.3))
         assert leaf.grad == expected
 
 
 def test_backward_sum_gives_ones():
     leaf = ops.param(np.arange(6.0).reshape(2, 3))
-    ad.backward(ops.nsum(leaf))
+    ops.backward(ops.nsum(leaf))
     assert np.array_equal(leaf.grad, np.ones((2, 3)))
 
 
 def test_backward_mean_square_hand_derived():
     # loss = mean(x^2), x = [1,2,3]  ->  grad = 2x/3 = [2/3, 4/3, 2]
     leaf = ops.param(np.array([1.0, 2.0, 3.0]))
-    ad.backward(ops.mean(ad.mul(leaf, leaf)))
+    ops.backward(ops.mean(ops.mul(leaf, leaf)))
     assert np.allclose(leaf.grad, [2.0 / 3.0, 4.0 / 3.0, 2.0], atol=1e-15)
 
 
 def test_backward_rejects_second_call():
     leaf = ops.param(np.array(2.0))
-    loss = ad.mul(leaf, leaf)
-    ad.backward(loss)
+    loss = ops.mul(leaf, leaf)
+    ops.backward(loss)
     with pytest.raises(RuntimeError):
-        ad.backward(loss)
+        ops.backward(loss)
 
 
 def test_backward_rejects_non_scalar():
     leaf = ops.param(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        ad.backward(ad.mul(leaf, leaf))
+        ops.backward(ops.mul(leaf, leaf))
 
 
 def test_shared_subexpression_gradient():
     # y = x*x + x  ->  dy/dx = 2x + 1; the leaf is visited once per use
     leaf = ops.param(np.array(3.0))
-    ad.backward(ad.add(ad.mul(leaf, leaf), leaf))
+    ops.backward(ops.add(ops.mul(leaf, leaf), leaf))
     assert leaf.grad == 7.0
 
 
 def test_shape_mismatch_diagnostic_names_both_shapes():
-    a = ad.constant(np.ones((2, 3)))
-    b = ad.constant(np.ones((4, 5)))
+    a = ops.constant(np.ones((2, 3)))
+    b = ops.constant(np.ones((4, 5)))
     with pytest.raises(ad.ShapeMismatch) as err:
-        ad.add(a, b)
+        ops.add(a, b)
     assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
     with pytest.raises(ad.ShapeMismatch):
         ops.matmul(a, b)
@@ -137,10 +138,10 @@ def test_shape_mismatch_diagnostic_names_both_shapes():
 
 def test_grad_shape_equals_value_shape():
     leaf = ops.param(np.ones((3, 1)))
-    other = ad.constant(np.ones((1, 5)))
-    out = ad.add(leaf, other)  # broadcast to (3, 5)
+    other = ops.constant(np.ones((1, 5)))
+    out = ops.add(leaf, other)  # broadcast to (3, 5)
     assert out.grad.shape == out.value.shape
-    ad.backward(ops.nsum(out))
+    ops.backward(ops.nsum(out))
     assert leaf.grad.shape == leaf.value.shape
 
 
@@ -234,11 +235,12 @@ def test_determinism_identical_seed_identical_trajectory():
         rng = np.random.default_rng(11)
         ps = ad.ParamSet()
         w = ps.add("w", rng.standard_normal((4, 3)))
+        leaf = ops.ParamLeaf(w)
         opt = ad.Adam(ps, lr=0.01)
         for _ in range(20):
-            x = ad.constant(rng.standard_normal((5, 4)))
-            loss = ops.mean(ad.mul(ops.matmul(x, w), ops.matmul(x, w)))
-            ad.backward(loss)
+            x = ops.constant(rng.standard_normal((5, 4)))
+            loss = ops.mean(ops.mul(ops.matmul(x, leaf), ops.matmul(x, leaf)))
+            ops.backward(loss)
             opt.step()
         return w.value.copy()
 

@@ -279,6 +279,17 @@ def test_suite_reports(tmp_path):
         assert (out / "reliability" / svg).exists()
 
 
+def test_suite_manifest_lists_only_this_runs_reports(tmp_path):
+    out = str(tmp_path / "run")
+    run_suite(tiny_config(suite=[{"strategy": "baseline"}, {"strategy": "avuc"}], out_dir=out))
+    result = run_suite(tiny_config(suite=[{"strategy": "baseline"}], out_dir=out))
+    assert (result.out_dir / "history" / "avuc_seed0.csv").exists()   # left by the first run
+    reports = json.loads((result.out_dir / "manifest.json").read_text())["reports"]
+    assert reports == sorted(reports)
+    assert not [rel for rel in reports if "avuc" in rel or rel == "mcnemar_vs_baseline.csv"]
+    assert "history/baseline_seed0.csv" in reports
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_suite_records_failure_without_aborting(tmp_path):
     cfg = tiny_config(suite=[{"strategy": "baseline"}, dict(EXPLODING)],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from calibtrain.autodiff import backward, constant
+from calibtrain.autodiff import backward
 from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.data import labels as split_labels
 from calibtrain.harness.config import DEFAULT_SUITE
@@ -15,16 +15,19 @@ from calibtrain.losses import (
     avuc_loss,
     classifier_bce,
     confidence_weights,
+    kl_loss,
     make_batch_view,
     mmce_loss,
     paired_confidence_loss,
     probability_loss,
+    reconstruction_loss,
     soft_ece_loss,
+    strategy_regularizer,
     total_loss,
     weighted_classifier_loss,
 )
 from calibtrain.metrics import ece, records_from_probs
-from calibtrain.model import VaeClassifier, kl_loss, reconstruction_loss
+from calibtrain.model import VaeClassifier, _in_order
 from calibtrain.uncertainty import epistemic_batch
 from oracles import (
     FD_STEP,
@@ -43,7 +46,7 @@ from oracles import (
 
 def view(prob_pos, labels, epi=None) -> BatchView:
     p = np.asarray(prob_pos, dtype=np.float64)
-    probs = constant(np.stack([1.0 - p, p], axis=1))
+    probs = np.stack([1.0 - p, p], axis=1)
     return make_batch_view(probs, np.asarray(labels), epistemic_conf=epi)
 
 
@@ -118,7 +121,7 @@ def test_batch_view_fields():
 
 def test_batch_view_validation():
     with pytest.raises(ValueError):
-        make_batch_view(constant(np.zeros((3, 3))), np.zeros(3, dtype=int))
+        make_batch_view(np.zeros((3, 3)), np.zeros(3, dtype=int))
     with pytest.raises(ValueError):
         view([0.9, 0.8], [1])
     with pytest.raises(ValueError):
@@ -387,7 +390,6 @@ def test_total_loss_lambda_zero_reduces_to_reconstruction():
     model, x, labels, eps, _ = _composite_setup()
     spec = LossSpec(strategy="baseline", lambda_kl=0.0, lambda_c=0.0)
     node = _composite_loss(model, x, labels, eps, spec)
-    from calibtrain.model import reconstruction_loss
     out = model.forward(x, rng=_FixedEps(eps), sample_latent=True)
     assert node.value == reconstruction_loss(x, out.xhat).value
 
@@ -485,15 +487,15 @@ def _check_against_graph_reference(scaled_batch, spec, n, sample_latent):
     if spec.strategy == "confidence_weight":
         conf = epistemic_batch(model, x, n=5, rng=np.random.default_rng(7))
 
-    def run(forward, loss_fn):
+    def run(forward, loss_fn, backward_fn):
         model.params.zero_grad()
         out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
         loss, batch = loss_fn(x, out, g, spec, epistemic_conf=conf)
-        backward(loss)
+        backward_fn(loss)
         return loss.value, batch, {name: p.grad.copy() for name, p in model.params.items()}
 
-    value, batch, grads = run(VaeClassifier.forward, total_loss)
-    ref_value, _, ref_grads = run(graph_vae_forward, graph_total_loss)
+    value, batch, grads = run(VaeClassifier.forward, total_loss, backward)
+    ref_value, _, ref_grads = run(graph_vae_forward, graph_total_loss, oracles.backward)
     assert 0 < batch.correct.sum() < n            # both kinds of sample present
     assert value == ref_value
     for name in grads:
@@ -509,43 +511,48 @@ def test_fused_heads_match_graph_reference_bitwise(scaled_batch, entry, n, sampl
                                    sample_latent)
 
 
+# (strategy, (lambda_c, lambda_kl, lambda_n)) per case. A dropped term changes
+# which path reaches mu, logvar and z first: with no term on the probabilities
+# (baseline without its classifier term) the latent's part reaches mu and
+# logvar before KL's, and a probability loss without its regularizer has the
+# classifier term alone on the probabilities.
+ZERO_WEIGHT_CASES = {
+    f"{strategy}-{name}": (strategy, weights)
+    for strategy in ("avuc", "mmce")
+    for name, weights in (("no_classifier", (0.0, 0.001, 1.0)), ("no_kl", (3.0, 0.0, 1.0)),
+                          ("neither", (0.0, 0.0, 1.0)))
+}
+ZERO_WEIGHT_CASES["baseline-no_classifier"] = ("baseline", (0.0, 0.001, 1.0))
+ZERO_WEIGHT_CASES["probability-no_regularizer"] = ("probability", (3.0, 0.001, 0.0))
+
+
 @pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
-@pytest.mark.parametrize("weights", [(0.0, 0.001), (3.0, 0.0), (0.0, 0.0)],
-                         ids=["no_classifier", "no_kl", "neither"])
-@pytest.mark.parametrize("strategy", ["avuc", "mmce"])
+@pytest.mark.parametrize("strategy, weights", ZERO_WEIGHT_CASES.values(),
+                         ids=ZERO_WEIGHT_CASES.keys())
 def test_fused_heads_match_graph_reference_with_zero_weights(scaled_batch, strategy, weights,
                                                              sample_latent):
-    # a dropped term changes which path reaches mu, logvar and z first
-    spec = LossSpec(strategy=strategy, lambda_c=weights[0], lambda_kl=weights[1])
+    spec = LossSpec(strategy=strategy, lambda_c=weights[0], lambda_kl=weights[1],
+                    lambda_n=weights[2])
     _check_against_graph_reference(scaled_batch, spec, 25, sample_latent)
 
 
-BANNED_OPS = {"log", "mean", "sum", "transpose", "relu", "exp", "softmax", "power", "abs"}
-
-
 @pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
-def test_loss_graph_holds_fused_terms_only(scaled_batch, entry):
+def test_loss_value_sums_weighted_terms_left_to_right(scaled_batch, entry):
     x, g = scaled_batch[0][:25], scaled_batch[1][:25]
     spec = LossSpec.from_dict(dict(entry))
     model = _spread_model()
     conf = np.full(25, 0.5) if spec.strategy == "confidence_weight" else None
     out = model.forward(x, rng=np.random.default_rng(0), sample_latent=True)
-    loss, _ = total_loss(x, out, g, spec, epistemic_conf=conf)
-    seen, stack = {id(loss): loss}, [loss]
-    while stack:
-        for parent in stack.pop().parents:
-            if id(parent) not in seen:
-                seen[id(parent)] = parent
-                stack.append(parent)
-    ops = {node.op for node in seen.values()}
-    assert not ops & BANNED_OPS
-    # the loss node's parents are the terms; beyond them sit the 7 model nodes
-    classifier = ("weighted_classifier" if spec.strategy == "confidence_weight"
-                  else "classifier_bce")
-    regularizer = () if spec.strategy in ("baseline", "confidence_weight") else (spec.strategy,)
-    terms = ("reconstruction", "kl", classifier, *regularizer)
-    assert loss.op == "total" and tuple(t.op for t in loss.parents) == terms
-    assert len(seen) == 1 + len(terms) + 7
+    loss, batch = total_loss(x, out, g, spec, epistemic_conf=conf)
+    want = (reconstruction_loss(x, out.xhat).value
+            + kl_loss(out.mu_z, out.logvar_z).value * spec.lambda_kl)
+    if spec.strategy == "confidence_weight":
+        want = want + weighted_classifier_loss(batch, spec.weight_floor).value * spec.lambda_c
+    else:
+        want = want + classifier_bce(batch).value * spec.lambda_c
+    if spec.strategy not in ("baseline", "confidence_weight"):
+        want = want + strategy_regularizer(batch, spec).value * spec.lambda_n
+    assert loss.value == want
 
 
 # Degenerate batches as (P(g=1), labels): the fused terms must equal the graph
@@ -589,18 +596,18 @@ def test_fused_terms_match_graph_terms_on_degenerate_batches(case, term):
     probs = np.stack([1.0 - p, p], axis=1)
     epi = np.random.default_rng(14).random(len(p))
 
-    def run(view, bce, build):
-        # the classifier term feeds the probabilities first, as in training,
-        # so the order of the term's own parts shows in the sums
-        leaf = oracles.param(probs)
-        batch = view(make_batch_view(leaf, np.asarray(labels), epistemic_conf=epi))
-        node = build(batch)
-        backward(bce(batch) + node * 0.7)
-        return node.value, leaf.grad
+    # the classifier term feeds the probabilities first, as in training, so
+    # the order of the term's own parts shows in the sums
+    batch = make_batch_view(probs, np.asarray(labels), epistemic_conf=epi)
+    term = fused(batch, *args)
+    value = term.value
+    grad = _in_order([*classifier_bce(batch).vjp(1.0), *term.vjp(0.7)])
 
-    value, grad = run(lambda b: b, classifier_bce, lambda b: fused(b, *args))
-    ref_value, ref_grad = run(graph_batch_view, oracles.graph_classifier_bce,
-                              lambda b: graph(b, *args))
+    leaf = oracles.param(probs)
+    graph_batch = graph_batch_view(leaf, np.asarray(labels), epistemic_conf=epi)
+    node = graph(graph_batch, *args)
+    oracles.backward(oracles.graph_classifier_bce(graph_batch) + node * 0.7)
+    ref_value, ref_grad = node.value, leaf.grad
     assert value == ref_value
     assert np.array_equal(grad, ref_grad)
 
@@ -618,14 +625,18 @@ def test_vae_terms_match_graph_terms_bitwise(scaled_batch, sample_latent):
     x = scaled_batch[0][:25]
     model = _spread_model()
 
-    def run(recon, kl):
+    def forward(forward_fn):
         model.params.zero_grad()
-        out = model.forward(x, rng=np.random.default_rng(3), sample_latent=sample_latent)
-        loss = recon(x, out.xhat) + kl(out.mu_z, out.logvar_z) * 0.25
-        backward(loss)
-        return loss.value, model.params.grad.copy()
+        return forward_fn(model, x, rng=np.random.default_rng(3), sample_latent=sample_latent)
 
-    value, grad = run(reconstruction_loss, kl_loss)
-    ref_value, ref_grad = run(graph_reconstruction_loss, graph_kl_loss)
+    out = forward(VaeClassifier.forward)
+    recon, kl = reconstruction_loss(x, out.xhat), kl_loss(out.mu_z, out.logvar_z)
+    model.backward(out, recon.vjp(1.0), kl_parts=kl.vjp(0.25))
+    value, grad = recon.value + kl.value * 0.25, model.params.grad.copy()
+
+    out = forward(graph_vae_forward)
+    loss = graph_reconstruction_loss(x, out.xhat) + graph_kl_loss(out.mu_z, out.logvar_z) * 0.25
+    oracles.backward(loss)
+    ref_value, ref_grad = loss.value, model.params.grad.copy()
     assert value == ref_value
     assert np.array_equal(grad, ref_grad)

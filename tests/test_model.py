@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from calibtrain.autodiff import Adam, backward, constant
+import oracles
+from calibtrain.autodiff import Adam, backward
 from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture, labels
 from calibtrain.harness.config import DEFAULT_SUITE
-from calibtrain.losses import LossSpec, total_loss
+from calibtrain.losses import LossSpec, kl_loss, reconstruction_loss, total_loss
 from calibtrain.model import (
     LOGVAR_MAX,
     LOGVAR_MIN,
     NonFiniteActivation,
     VaeClassifier,
-    kl_loss,
     load_checkpoint,
-    reconstruction_loss,
     save_checkpoint,
 )
 from calibtrain.uncertainty import epistemic_batch
-from oracles import FD_STEP, graph_vae_forward, rel_error
+from oracles import FD_STEP, graph_total_loss, graph_vae_forward, rel_error
 
 
 def make_model(seed=0, d=4):
@@ -28,17 +27,23 @@ def batch(n=5, d=4, seed=1):
     return rng.random((n, d))  # already inside [0, 1]
 
 
+def vae_loss(x, out, lambda_kl):
+    """L_RE + lambda_kl * L_KL: the training loss without the classifier term."""
+    spec = LossSpec(strategy="baseline", lambda_kl=lambda_kl, lambda_c=0.0)
+    return total_loss(x, out, np.zeros(len(x), dtype=int), spec)[0]
+
+
 def test_forward_shapes_and_prob_invariants():
     m = make_model()
     x = batch()
     out = m.forward(x)
-    assert out.xhat.value.shape == (5, 4)
-    assert out.mu_z.value.shape == (5, 3)
-    assert out.probs.value.shape == (5, 2)
-    sums = out.probs.value.sum(axis=1)
+    assert out.xhat.shape == (5, 4)
+    assert out.mu_z.shape == (5, 3)
+    assert out.probs.shape == (5, 2)
+    sums = out.probs.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) < 1e-12)
-    assert np.all(out.probs.value > 0) and np.all(out.probs.value < 1)
-    assert np.all(out.xhat.value > 0) and np.all(out.xhat.value < 1)
+    assert np.all(out.probs > 0) and np.all(out.probs < 1)
+    assert np.all(out.xhat > 0) and np.all(out.xhat < 1)
 
 
 def test_deterministic_forward_repeats():
@@ -46,8 +51,8 @@ def test_deterministic_forward_repeats():
     x = batch()
     a = m.forward(x, sample_latent=False)
     b = m.forward(x, sample_latent=False)
-    assert np.array_equal(a.probs.value, b.probs.value)
-    assert np.array_equal(a.z.value, a.mu_z.value)
+    assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a.z, a.mu_z)
 
 
 def test_sampled_forward_uses_rng():
@@ -56,8 +61,8 @@ def test_sampled_forward_uses_rng():
     a = m.forward(x, rng=np.random.default_rng(7), sample_latent=True)
     b = m.forward(x, rng=np.random.default_rng(7), sample_latent=True)
     c = m.forward(x, rng=np.random.default_rng(8), sample_latent=True)
-    assert np.array_equal(a.z.value, b.z.value)
-    assert not np.array_equal(a.z.value, c.z.value)
+    assert np.array_equal(a.z, b.z)
+    assert not np.array_equal(a.z, c.z)
     with pytest.raises(ValueError):
         m.forward(x, sample_latent=True)
 
@@ -65,7 +70,7 @@ def test_sampled_forward_uses_rng():
 def test_zero_init_classifier_outputs_half():
     m = make_model(seed=3)
     out = m.forward(batch())
-    assert np.array_equal(out.probs.value, np.full((5, 2), 0.5))
+    assert np.array_equal(out.probs, np.full((5, 2), 0.5))
 
 
 def test_logvar_clamped_and_zero_variance_limit():
@@ -73,9 +78,9 @@ def test_logvar_clamped_and_zero_variance_limit():
     # push the logvar head far negative; clamp must hold it at the floor
     m.params["enc.b_lv"].value[:] = -1000.0
     out = m.forward(batch(), rng=np.random.default_rng(0), sample_latent=True)
-    assert np.all(out.logvar_z.value == -10.0)
+    assert np.all(out.logvar_z == -10.0)
     # sigma = exp(-5) ~ 6.7e-3, so z hugs mu
-    assert np.max(np.abs(out.z.value - out.mu_z.value)) < 0.05
+    assert np.max(np.abs(out.z - out.mu_z)) < 0.05
 
 
 def test_input_shape_validated():
@@ -100,12 +105,12 @@ def test_numpy_path_matches_graph_path_bitwise():
     m.params["clf.w2"].value[:] = rng.standard_normal((16, 2)) * 0.3
     x = np.random.default_rng(3).random((7, 6))
     res = m.forward(x)
-    assert np.array_equal(m.predict_probs(x), res.probs.value)
+    assert np.array_equal(m.predict_probs(x), res.probs)
     mu, lv = m.encode_values(x)
-    assert np.array_equal(mu, res.mu_z.value)
-    assert np.array_equal(lv, res.logvar_z.value)
-    assert np.array_equal(m.classify_values(mu), res.probs.value)
-    assert np.array_equal(graph_vae_forward(m, x).xhat.value, res.xhat.value)
+    assert np.array_equal(mu, res.mu_z)
+    assert np.array_equal(lv, res.logvar_z)
+    assert np.array_equal(m.classify_values(mu), res.probs)
+    assert np.array_equal(graph_vae_forward(m, x).xhat.value, res.xhat)
 
 
 @pytest.fixture(scope="module")
@@ -136,17 +141,18 @@ def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, sample_lat
     if spec.strategy == "confidence_weight":
         conf = epistemic_batch(model, x, n=5, rng=np.random.default_rng(7))
 
-    def run(forward):
+    def run(forward, loss_fn, backward_fn, value):
         model.params.zero_grad()
         out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
-        loss, _ = total_loss(x, out, g, spec, epistemic_conf=conf)
-        backward(loss)
-        values = [out.xhat.value, out.mu_z.value, out.logvar_z.value, out.z.value,
-                  out.probs.value, loss.value]
+        loss, _ = loss_fn(x, out, g, spec, epistemic_conf=conf)
+        backward_fn(loss)
+        values = [value(out.xhat), value(out.mu_z), value(out.logvar_z), value(out.z),
+                  value(out.probs), loss.value]
         return values, {name: node.grad.copy() for name, node in model.params.items()}
 
-    values, grads = run(VaeClassifier.forward)
-    ref_values, ref_grads = run(graph_vae_forward)
+    values, grads = run(VaeClassifier.forward, total_loss, backward, lambda a: a)
+    ref_values, ref_grads = run(graph_vae_forward, graph_total_loss, oracles.backward,
+                                lambda node: node.value)
     for got, want in zip(values, ref_values):
         assert np.array_equal(got, want)
     assert (values[2] == LOGVAR_MAX).any() and (values[2] == LOGVAR_MIN).any()
@@ -155,29 +161,17 @@ def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, sample_lat
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
-def _reachable(*roots):
-    seen, stack = {id(r): r for r in roots}, list(roots)
-    while stack:
-        for parent in stack.pop().parents:
-            if id(parent) not in seen:
-                seen[id(parent)] = parent
-                stack.append(parent)
-    return list(seen.values())
-
-
-def test_graph_holds_fused_layers_only(scaled_batch):
-    x, g = scaled_batch[0][:25], scaled_batch[1][:25]
+def test_forward_returns_plain_arrays(scaled_batch):
+    x = scaled_batch[0][:25]
     m = _spread_model()
     out = m.forward(x, rng=np.random.default_rng(0), sample_latent=True)
-    loss, _ = total_loss(x, out, g, LossSpec(strategy="baseline"))
-    ops = {node.op for node in _reachable(loss)}
-    assert not ops & {"matmul", "tanh", "sigmoid", "softmax", "relu"}
-    # the model adds one node per layer and the parameter buffer; the input
-    # features get no node
-    model_nodes = _reachable(out.xhat, out.mu_z, out.logvar_z, out.probs)
-    assert sorted(node.op for node in model_nodes) == sorted(
-        ["params", "enc.hidden", "enc.mu", "enc.logvar", "latent", "decoder", "classifier"])
-    assert not any(node.value is x for node in model_nodes)
+    # the outputs are plain arrays, and the activations the backward pass
+    # reads ride along with them, the input included
+    for name in ("xhat", "mu_z", "logvar_z", "z", "probs", "h_enc", "h_dec", "h_clf"):
+        assert type(getattr(out, name)) is np.ndarray, name
+    assert out.model is m and out.x is x
+    assert np.array_equal(out.z, out.mu_z + out.sigma * out.eps)
+    assert m.forward(x).eps is None
 
 
 def test_param_writes_reach_next_forward_after_adam():
@@ -185,45 +179,45 @@ def test_param_writes_reach_next_forward_after_adam():
     x = batch()
     opt = Adam(m.params, lr=0.1)
     m.params["clf.b2"].value[0] = 4.0                       # in-place write
-    assert np.all(m.forward(x).probs.value[:, 0] > 0.9)
+    assert np.all(m.forward(x).probs[:, 0] > 0.9)
     m.params["clf.b2"].value = np.array([0.0, 4.0])         # assignment
-    assert np.all(m.forward(x).probs.value[:, 1] > 0.9)
-    assert np.array_equal(m.predict_probs(x), m.forward(x).probs.value)
+    assert np.all(m.forward(x).probs[:, 1] > 0.9)
+    assert np.array_equal(m.predict_probs(x), m.forward(x).probs)
 
     out = m.forward(x)
-    backward(reconstruction_loss(x, out.xhat))
+    backward(vae_loss(x, out, 0.0))
     before = m.params.copy_values()
     opt.step()
     moved = [name for name in m.params.names()
              if not np.array_equal(m.params[name].value, before[name])]
     assert moved == ["enc.w1", "enc.b1", "enc.w_mu", "enc.b_mu",
                      "dec.w1", "dec.b1", "dec.w2", "dec.b2"]
-    assert not np.array_equal(m.forward(x).xhat.value, out.xhat.value)
+    assert not np.array_equal(m.forward(x).xhat, out.xhat)
 
 
 def test_kl_closed_forms():
-    mu = constant(np.zeros((1, 1)))
-    lv = constant(np.zeros((1, 1)))
+    mu = np.zeros((1, 1))
+    lv = np.zeros((1, 1))
     assert kl_loss(mu, lv).value == 0.0
-    mu1 = constant(np.ones((1, 1)))
+    mu1 = np.ones((1, 1))
     assert abs(kl_loss(mu1, lv).value - 0.5) < 1e-15
     # averaged over batch: two samples with KL 0 and 0.5 give 0.25
-    mu2 = constant(np.array([[0.0], [1.0]]))
-    lv2 = constant(np.zeros((2, 1)))
+    mu2 = np.array([[0.0], [1.0]])
+    lv2 = np.zeros((2, 1))
     assert abs(kl_loss(mu2, lv2).value - 0.25) < 1e-15
 
 
 def test_kl_nonnegative_random():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        mu = constant(rng.standard_normal((4, 3)) * 2)
-        lv = constant(rng.standard_normal((4, 3)) * 2)
+        mu = rng.standard_normal((4, 3)) * 2
+        lv = rng.standard_normal((4, 3)) * 2
         assert kl_loss(mu, lv).value >= 0.0
 
 
 def test_reconstruction_zero_on_exact_binary():
     x = np.array([[0.0, 1.0, 1.0, 0.0]])
-    assert reconstruction_loss(x, constant(x)).value == 0.0
+    assert reconstruction_loss(x, x).value == 0.0
 
 
 def test_reconstruction_rejects_out_of_range():
@@ -238,8 +232,7 @@ def test_classifier_untouched_by_vae_loss():
     m = make_model()
     x = batch()
     out = m.forward(x)
-    loss = reconstruction_loss(x, out.xhat) + kl_loss(out.mu_z, out.logvar_z) * 0.001
-    backward(loss)
+    backward(vae_loss(x, out, 0.001))
     for name in ("clf.w1", "clf.b1", "clf.w2", "clf.b2"):
         assert np.all(m.params[name].grad == 0.0), name
     assert np.any(m.params["enc.w1"].grad != 0.0)
@@ -253,8 +246,7 @@ def test_vae_loss_gradient_fd():
 
     def loss_value():
         out = m.forward(x, rng=_FixedEps(eps_draw), sample_latent=True)
-        return (reconstruction_loss(x, out.xhat)
-                + kl_loss(out.mu_z, out.logvar_z) * 0.01)
+        return vae_loss(x, out, 0.01)
 
     loss = loss_value()
     backward(loss)
