@@ -53,7 +53,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if value is not None:
             data[name] = value
     if getattr(args, "seeds", None):
-        data["seeds"] = [int(s) for s in args.seeds.split(",")]
+        try:
+            data["seeds"] = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ValueError(f"--seeds expects comma-separated integers, "
+                             f"got {args.seeds!r}") from None
     if getattr(args, "strategy", None):
         loss = dict(data.get("loss", {}))
         loss["strategy"] = args.strategy
@@ -89,6 +93,8 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args)
     seed = args.seed if args.seed is not None else config.seeds[0]
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     spec = LossSpec.from_dict(dict(config.loss))
     split = _generate(config)
     history = train(config, split, seed=seed, spec=spec)

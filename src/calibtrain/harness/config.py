@@ -79,6 +79,12 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
         self.seeds = [int(s) for s in self.seeds]
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be non-negative, got {self.data_seed}")
         if self.n_uncertainty < 1:
             raise ValueError(f"n_uncertainty must be >= 1, got {self.n_uncertainty}")
         loss_fields = set(LossSpec.__dataclass_fields__)

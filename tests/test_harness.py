@@ -79,6 +79,9 @@ def test_config_json_round_trip(tmp_path):
     dict(lr_vae=0.0),
     dict(criterion="max-test-acc"),
     dict(seeds=[]),
+    dict(seeds=[-1]),
+    dict(seeds=[1, 1]),
+    dict(data_seed=-1),
     dict(n_uncertainty=0),
     dict(grid={"not_a_field": [1]}),
     dict(grid={"lambda_n": []}),
@@ -527,6 +530,21 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["generate-data", "--set", "badformat"]) == 2
     assert main(["generate-data", "--set", "epochz=3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,problem", [
+    (["suite", "--seeds", "-1"], "seeds must be non-negative"),
+    (["suite", "--seeds", "1,1"], "seeds must be distinct"),
+    (["suite", "--data-seed", "-1"], "data_seed must be non-negative"),
+    (["suite", "--seeds", "1,x"], "--seeds expects comma-separated integers"),
+    (["train", "--seed", "-1"], "--seed must be non-negative"),
+])
+def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and problem in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

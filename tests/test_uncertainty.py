@@ -5,11 +5,14 @@ from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
     VOTE_ROWS,
+    Substreams,
     UncertaintyEstimate,
     aleatoric,
     epistemic,
     epistemic_batch,
+    pcg64_states,
     predictions_from_shares,
+    seed_words,
     uncertainty_records,
 )
 from oracles import perturb
@@ -239,6 +242,74 @@ def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
     assert shares == unbatched_vote_shares(m, split, kind, scaler, n, sigma, base)
     if n > 1 and sigma > 0:
         assert any(0.0 < c < 1.0 for c in shares)   # the draws reached the votes
+
+
+# -- vectorised substream seeding against NumPy ---------------------------------------
+
+# the last key has five entropy words before i, so it reaches the hash's tail loop
+SEED_KEYS = [(0, 3), (7, 4), (2**32 + 5, 3), (2**64 + 1, 2**40, 3)]
+SEED_IDS = [0, 1, 127, 2**32 - 1]
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_seed_words_match_seed_sequence(key):
+    got = seed_words(key, SEED_IDS)
+    assert got.dtype == np.uint64 and got.shape == (len(SEED_IDS), 4)
+    for i, words in zip(SEED_IDS, got):
+        want = np.random.SeedSequence(key + (i,)).generate_state(4, np.uint64)
+        assert np.array_equal(words, want)
+    assert seed_words(key, []).shape == (0, 4)
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_pcg64_states_match_numpy(key):
+    rows = pcg64_states(seed_words(key, SEED_IDS)).tolist()
+    for i, (s_hi, s_lo, i_hi, i_lo) in zip(SEED_IDS, rows):
+        want = np.random.PCG64(key + (i,)).state["state"]
+        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (want["state"], want["inc"])
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+@pytest.mark.parametrize("shape", [(19, 8), (4, 2)])
+def test_substreams_draw_the_default_rng_streams(key, shape):
+    streams = Substreams(key, SEED_IDS)
+    out = streams.standard_normal(0, np.empty((len(SEED_IDS),) + shape))
+    for i, draw in zip(SEED_IDS, out):
+        assert np.array_equal(draw, np.random.default_rng(key + (i,)).standard_normal(shape))
+    # a later window reads the same streams again from their start
+    tail = streams.standard_normal(2, np.empty((2,) + shape))
+    assert np.array_equal(tail, out[2:])
+    assert Substreams(key, []).standard_normal(0, np.empty((0,) + shape)).shape == (0,) + shape
+
+
+def test_seeding_rejects_words_numpy_rejects():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((-1, 3, 0))
+    with pytest.raises(ValueError):
+        seed_words((-1, 3), [0])
+    with pytest.raises(ValueError):
+        seed_words((0, 3), [-1])
+    with pytest.raises(ValueError):
+        seed_words((0, 3), [2**32])     # ids must stay one entropy word
+    split = generate_gaussian_mixture(sizes=(30, 10, 5), d=2, seed=3)
+    with pytest.raises(ValueError):
+        uncertainty_records(sign_model(), split, "epistemic", n=3, base_seed=(-1, 3))
+
+
+def test_uncertainty_records_seed_without_a_generator_per_sample(monkeypatch):
+    calls = []
+    for name in ("default_rng", "SeedSequence", "PCG64"):
+        original = getattr(np.random, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    split = generate_gaussian_mixture(sizes=(30, 10, 600), d=2, seed=6)
+    calls.clear()
+    uncertainty_records(sign_model(), split, "epistemic", n=7, base_seed=(1, 3))
+    assert len(calls) <= 2, calls
 
 
 # -- batch path --------------------------------------------------------------------
