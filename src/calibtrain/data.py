@@ -13,9 +13,7 @@ labels ``g`` (n,) and the analytic posterior P(g=1 | x) (n,).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -165,48 +163,3 @@ class FeatureScaler:
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)
 
-
-# ---------------------------------------------------------------------------
-# CSV serialization (header: x0..x{d-1},label,posterior) plus a JSON manifest
-# ---------------------------------------------------------------------------
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def write_split(split: DataSplit, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    d = split.params.get("d", split.train.x.shape[1])
-    header = ",".join([f"x{i}" for i in range(d)] + ["label", "posterior"])
-    for name in ("train", "validation", "test"):
-        part = getattr(split, name)
-        lines = [header]
-        for x, g, posterior in zip(part.x.tolist(), part.g.tolist(),
-                                   part.posterior.tolist()):
-            lines.append(",".join([_fmt(v) for v in x] + [str(g), _fmt(posterior)]))
-        (out / f"{name}.csv").write_text("\n".join(lines) + "\n")
-    manifest = {
-        "seed": split.seed,
-        "params": split.params,
-        "class_counts": {k: list(v) for k, v in split.class_counts().items()},
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def read_split(in_dir: str | Path) -> DataSplit:
-    src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-
-    def load(name: str) -> Subset:
-        header, *lines = (src / f"{name}.csv").read_text().strip().split("\n")
-        rows = [line.split(",") for line in lines]
-        d = len(header.split(",")) - 2
-        x = np.array([[float(c) for c in row[:-2]] for row in rows]).reshape(len(rows), d)
-        g = np.array([int(row[-2]) for row in rows], dtype=np.int64)
-        posterior = np.array([float(row[-1]) for row in rows])
-        return Subset(x, g, posterior)
-
-    return DataSplit(train=load("train"), validation=load("validation"),
-                     test=load("test"), seed=manifest["seed"],
-                     params=manifest["params"])

@@ -1,7 +1,6 @@
 """Command-line front end.
 
 Subcommands:
-  generate-data   write a synthetic split (train/validation/test CSVs)
   train           one training run: epoch history plus best checkpoints
   grid            inner 2-fold grid search, per-cell table
   suite           full strategy x seed evaluation bundle
@@ -21,13 +20,12 @@ import json
 import sys
 from pathlib import Path
 
-from ..data import generate_gaussian_mixture, write_split
 from ..losses import STRATEGIES, LossSpec
 from ..metrics import Bin, BinTable
 from ..model import VaeClassifier, save_checkpoint
-from .config import CRITERIA, ExperimentConfig, config_hash
+from .config import CRITERIA, ExperimentConfig, config_hash, criterion_value
 from .grid import grid_search
-from .suite import run_suite, write_csv
+from .suite import HISTORY_COLUMNS, generate_split, history_rows, run_suite, write_csv
 from .svg import write_reliability_svg
 from .training import select_model, train
 
@@ -67,28 +65,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _generate(config: ExperimentConfig):
-    return generate_gaussian_mixture(
-        sizes=config.sizes, d=config.d, separation=config.separation,
-        noise_rate=config.noise_rate, positive_fraction=config.positive_fraction,
-        seed=config.data_seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
-
-def cmd_generate_data(args) -> int:
-    config = load_config(args)
-    split = _generate(config)
-    out = config.resolve_out_dir()
-    write_split(split, out)
-    counts = {name: len(part) for name, part in
-              (("train", split.train), ("validation", split.validation),
-               ("test", split.test))}
-    print(f"wrote split {counts} to {out}")
-    return 0
-
 
 def cmd_train(args) -> int:
     config = load_config(args)
@@ -96,12 +75,11 @@ def cmd_train(args) -> int:
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     spec = LossSpec.from_dict(dict(config.loss))
-    split = _generate(config)
+    split = generate_split(config)
     history = train(config, split, seed=seed, spec=spec)
     out = config.resolve_out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[e.epoch, e.train_loss, e.val_bacc, e.val_ece] for e in history.entries]
-    write_csv(out / "history.csv", ["epoch", "train_loss", "val_bacc", "val_ece"], rows)
+    write_csv(out / "history.csv", HISTORY_COLUMNS, history_rows(history))
     if history.failed:
         print(f"run failed: {history.failure} "
               f"({len(history.entries)} epochs kept)", file=sys.stderr)
@@ -114,15 +92,15 @@ def cmd_train(args) -> int:
         save_checkpoint(model, out / "checkpoints" / criterion, epoch=entry.epoch,
                         extra={"criterion": criterion, "strategy": spec.strategy,
                                "seed": seed})
-        value = entry.val_bacc if criterion == "max-val-bacc" else entry.val_ece
-        print(f"{criterion}: epoch {entry.epoch} (validation value {value:.4f})")
+        print(f"{criterion}: epoch {entry.epoch} "
+              f"(validation value {criterion_value(criterion, entry):.4f})")
     print(f"history and checkpoints in {out}")
     return 0
 
 
 def cmd_grid(args) -> int:
     config = load_config(args)
-    split = _generate(config)
+    split = generate_split(config)
     try:
         result = grid_search(config, split)
     except RuntimeError as err:
@@ -272,10 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--criterion", choices=list(CRITERIA))
     common.add_argument("--strategy", choices=list(STRATEGIES),
                         help="replace the configured loss strategy")
-
-    p = sub.add_parser("generate-data", parents=[common],
-                       help="write the synthetic split to CSV")
-    p.set_defaults(func=cmd_generate_data)
 
     p = sub.add_parser("train", parents=[common], help="single training run")
     p.add_argument("--seed", type=int, help="run seed (default: first config seed)")

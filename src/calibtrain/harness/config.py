@@ -19,6 +19,18 @@ from ..losses import LossSpec
 
 CRITERIA = ("max-val-bacc", "min-val-ece")
 
+
+def criterion_value(criterion: str, entry) -> float:
+    """The validation value a selection criterion reads from an epoch entry."""
+    return entry.val_bacc if criterion == "max-val-bacc" else entry.val_ece
+
+
+def beats(criterion: str, value: float, incumbent: float) -> bool:
+    """Whether value strictly improves on incumbent under the criterion. A tie
+    keeps the incumbent, so the earliest epoch or first grid cell wins."""
+    return value > incumbent if criterion == "max-val-bacc" else value < incumbent
+
+
 # Per-strategy suite defaults, selected by a three-seed sweep on the default
 # synthetic preset (penalty strengths do not transfer between tasks, so each
 # deployment is expected to re-tune these via the grid machinery).

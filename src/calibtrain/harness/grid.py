@@ -17,7 +17,7 @@ import numpy as np
 
 from ..data import DataSplit
 from ..losses import _RELEVANT, _SHARED, LossSpec
-from .config import ExperimentConfig
+from .config import ExperimentConfig, beats, criterion_value
 from .training import select_model, train
 
 log_ = logging.getLogger(__name__)
@@ -73,8 +73,7 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
                 failed = True
                 break
             entry, _ = select_model(history, config.criterion)
-            fold_scores.append(entry.val_bacc if config.criterion == "max-val-bacc"
-                               else entry.val_ece)
+            fold_scores.append(criterion_value(config.criterion, entry))
         if failed:
             cells.append(GridCell(values=values, fold_scores=fold_scores,
                                   mean_score=float("nan"), failed=True))
@@ -85,9 +84,9 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
     scored = [c for c in cells if not c.failed]
     if not scored:
         raise RuntimeError("every grid cell failed")
-    if config.criterion == "max-val-bacc":
-        winner = max(scored, key=lambda c: c.mean_score)
-    else:
-        winner = min(scored, key=lambda c: c.mean_score)
+    winner = scored[0]
+    for cell in scored[1:]:
+        if beats(config.criterion, cell.mean_score, winner.mean_score):
+            winner = cell
     best = dataclasses.replace(base, **winner.values)
     return GridResult(cells=cells, best=best, criterion=config.criterion)

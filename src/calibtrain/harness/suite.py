@@ -52,6 +52,7 @@ from .svg import write_reliability_svg
 from .training import evaluate_records, select_model, train
 
 METRIC_COLUMNS = ("ece", "aece", "oe", "mce", "bs", "sen", "spe", "bacc")
+HISTORY_COLUMNS = ("epoch", "train_loss", "val_bacc", "val_ece")
 EVAL_MODES = ("softmax", "epistemic", "aleatoric")
 
 
@@ -68,6 +69,19 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def history_rows(history) -> list[list]:
+    """The rows of a history CSV (HISTORY_COLUMNS), one per recorded epoch."""
+    return [[getattr(e, col) for col in HISTORY_COLUMNS] for e in history.entries]
+
+
+def generate_split(config: ExperimentConfig) -> DataSplit:
+    """The synthetic split a config describes, drawn from its data_seed."""
+    return generate_gaussian_mixture(
+        sizes=config.sizes, d=config.d, separation=config.separation,
+        noise_rate=config.noise_rate, positive_fraction=config.positive_fraction,
+        seed=config.data_seed)
 
 
 def metric_row(preds: Predictions, m: int = 15) -> dict:
@@ -120,8 +134,7 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
     cell = CellResult(strategy=spec.strategy, seed=seed, selected_epoch={},
                       metrics={}, test_records={})
     history = train(config, split, seed=seed, spec=spec)
-    cell.epochs = [(e.epoch, e.train_loss, e.val_bacc, e.val_ece)
-                   for e in history.entries]
+    cell.epochs = history_rows(history)
     if history.failed or not history.entries:
         cell.failed = True
         cell.failure = history.failure or "no epochs completed"
@@ -183,10 +196,7 @@ def _cell_calls_replaced() -> bool:
 def run_suite(config: ExperimentConfig, out_override: str | None = None) -> SuiteResult:
     out = config.resolve_out_dir(out_override)
     out.mkdir(parents=True, exist_ok=True)
-    split = generate_gaussian_mixture(
-        sizes=config.sizes, d=config.d, separation=config.separation,
-        noise_rate=config.noise_rate, positive_fraction=config.positive_fraction,
-        seed=config.data_seed)
+    split = generate_split(config)
     scaler = FeatureScaler().fit(split.train.x)
     x_test = scaler.transform(split.test.x)
     g_test = split.test.g
@@ -239,9 +249,8 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
     hist_dir = out / "history"
     hist_dir.mkdir(exist_ok=True)
     for cell in cells:
-        rows = [[e[0], e[1], e[2], e[3]] for e in cell.epochs]
         report(hist_dir / f"{cell.strategy}_seed{cell.seed}.csv",
-                  ["epoch", "train_loss", "val_bacc", "val_ece"], rows)
+               HISTORY_COLUMNS, cell.epochs)
 
     # aggregated metric tables: one file per evaluation mode
     for mode in EVAL_MODES:

@@ -25,7 +25,7 @@ from ..losses import LossSpec, total_loss
 from ..metrics import Predictions, classification_metrics, ece, records_from_probs
 from ..model import NonFiniteActivation, VaeClassifier
 from ..uncertainty import epistemic_batch
-from .config import CRITERIA, ExperimentConfig
+from .config import CRITERIA, ExperimentConfig, beats, criterion_value
 
 AVUC_WARMUP_EPOCHS = 3
 
@@ -49,12 +49,9 @@ class EpochHistory:
     def record(self, entry: EpochEntry, params_snapshot) -> None:
         self.entries.append(entry)
         for criterion in CRITERIA:
-            value = entry.val_bacc if criterion == "max-val-bacc" else entry.val_ece
+            value = criterion_value(criterion, entry)
             cur = self.best.get(criterion)
-            better = (cur is None
-                      or (criterion == "max-val-bacc" and value > cur["value"])
-                      or (criterion == "min-val-ece" and value < cur["value"]))
-            if better:
+            if cur is None or beats(criterion, value, cur["value"]):
                 self.best[criterion] = {"epoch": entry.epoch, "value": value,
                                         "params": params_snapshot()}
 

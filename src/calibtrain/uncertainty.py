@@ -6,28 +6,32 @@ one (z = mu on the original input); the remaining n - 1 passes vary either
 the latent draw (epistemic) or the input via additive Gaussian noise
 (aleatoric, with the latent held at mu so only input noise contributes).
 
-Votes are cast in blocks of at most VOTE_ROWS classifier rows (or of one
-sample's, or one pass's, rows when those alone are more), one batched pass
-per block, so the intermediate arrays stay small whatever the split or
-batch size. One kernel casts the votes of a block of samples.
-``epistemic`` and ``aleatoric`` call it on one sample; ``uncertainty_records``
-calls it on the test split in chunks of VOTE_ROWS // n samples. Each test
-sample i draws from its own substream default_rng(base_seed + (i,)): one
-(n - 1, latent) standard-normal draw for epistemic, or one (n - 1, d) draw
-times sigma, added in raw feature space before scaling, for aleatoric. The
-votes therefore do not depend on the chunk size or evaluation order.
+Every estimator casts its votes through one chunked loop, ``_votes``. It
+votes VOTE_ROWS // n samples per batched classifier pass (one sample when
+n alone is more), so the vote arrays stay small whatever the split or batch
+size; for epistemic votes it encodes the latent moments of every row once,
+before the loop, since they do not depend on the draws. The loop asks
+its caller's ``draw(start, stop)`` for the noise of each chunk, shape
+(stop - start, n - 1, k), so the callers differ only in their streams:
 
-``Substreams`` builds those streams without a Generator per sample: it runs
-NumPy's SeedSequence hash over every i in one vectorised pass
+- ``epistemic`` and ``aleatoric`` vote one sample with their own rng.
+- ``uncertainty_records`` gives each test sample i its own substream
+  default_rng(base_seed + (i,)): one (n - 1, latent) standard-normal draw
+  for epistemic, or one (n - 1, d) draw times sigma, added in raw feature
+  space before scaling, for aleatoric. The votes therefore do not depend on
+  the chunk size or evaluation order.
+- ``epistemic_batch``, which confidence-weight training calls on every
+  batch of b rows, shares one rng across the batch: it draws one
+  (n - 1, b, latent) array, which reads the stream exactly as one
+  (b, latent) draw per pass would, and hands each chunk its rows of every
+  pass, ``eps[:, start:stop]`` with the pass axis moved second.
+
+``Substreams`` builds the per-sample streams without a Generator per sample:
+it runs NumPy's SeedSequence hash over every i in one vectorised pass
 (``seed_words``), then PCG64's closed-form seeding step (``pcg64_states``),
 and sets one reused Generator to each state in turn. This assumes that
 NumPy's SeedSequence and PCG64 seeding do not change; ``tests/test_uncertainty.py``
 checks the states and draws bitwise against NumPy's own.
-
-``epistemic_batch``, which confidence-weight training calls on every batch
-of b rows, shares one rng across the batch instead: its n - 1 latent passes
-are drawn VOTE_ROWS // b at a time, each block one (k, b, latent) draw, which
-reads the stream exactly as one (b, latent) draw per pass would.
 
 Predictions built from the vote shares c take [1 - c, c] as the class
 probabilities, max(c, 1 - c) as the confidence and the majority vote as the
@@ -186,19 +190,15 @@ class Substreams:
 
 # -- votes -------------------------------------------------------------------------
 
-def _predict_labels(model: VaeClassifier, z: np.ndarray) -> np.ndarray:
-    return np.argmax(model.classify_values(z), axis=1)
-
-
-def _vote_predictions(model: VaeClassifier, x: np.ndarray, kind: str, n: int,
-                      eps: np.ndarray | None, sigma: float = 0.0,
-                      scaler: FeatureScaler | None = None) -> np.ndarray:
-    """Per-pass predicted labels, shape (m, n), for the m rows of raw inputs x.
+def _votes(model: VaeClassifier, x: np.ndarray, kind: str, n: int, draw,
+           sigma: float = 0.0, scaler: FeatureScaler | None = None) -> np.ndarray:
+    """Per-pass predicted labels, shape (m, n), for the m rows of raw inputs x,
+    voted VOTE_ROWS // n rows at a time (one row when n alone is more).
 
     Pass 0 of every row is deterministic. Passes 1..n-1 of row j add
     eps[j], of shape (n - 1, k): latent noise (epistemic, k = latent) or
-    input noise added before scaling (aleatoric, k = d). eps may be None
-    when no row makes a draw.
+    input noise added before scaling (aleatoric, k = d). draw(start, stop)
+    returns eps for rows start..stop-1, or None when no row makes a draw.
     """
     if n < 1:
         raise ValueError(f"need at least one pass, got n={n}")
@@ -206,22 +206,28 @@ def _vote_predictions(model: VaeClassifier, x: np.ndarray, kind: str, n: int,
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     m, d = x.shape
     if kind == "epistemic":
-        if scaler is not None:
-            x = scaler.transform(x)
-        mu, lv = model.encode_values(x)
-        z = np.empty((m, n, mu.shape[1]))
-        z[:, 0] = mu
-        if n > 1:
-            z[:, 1:] = mu[:, None, :] + np.exp(lv / 2.0)[:, None, :] * eps
-    else:
-        xs = np.repeat(x[:, None, :], n, axis=1)
-        if n > 1 and sigma > 0:
-            xs[:, 1:] = x[:, None, :] + eps * sigma
-        xs = xs.reshape(m * n, d)
-        if scaler is not None:
-            xs = scaler.transform(xs)
-        z, _ = model.encode_values(xs)
-    return _predict_labels(model, z.reshape(m * n, -1)).reshape(m, n)
+        # the latent moments do not depend on the draws: encode every row once
+        mu, lv = model.encode_values(x if scaler is None else scaler.transform(x))
+        spread = np.exp(lv / 2.0)
+    preds = np.empty((m, n), dtype=np.int64)
+    chunk = max(1, VOTE_ROWS // n)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        eps = draw(start, stop)
+        if kind == "epistemic":
+            z = np.empty((stop - start, n, mu.shape[1]))
+            z[:, 0] = mu[start:stop]
+            if n > 1:
+                z[:, 1:] = mu[start:stop, None, :] + spread[start:stop, None, :] * eps
+        else:
+            xs = np.repeat(x[start:stop, None, :], n, axis=1)
+            if n > 1 and sigma > 0:
+                xs[:, 1:] = x[start:stop, None, :] + eps * sigma
+            xs = xs.reshape(-1, d)
+            z, _ = model.encode_values(xs if scaler is None else scaler.transform(xs))
+        labels = np.argmax(model.classify_values(z.reshape(-1, z.shape[-1])), axis=1)
+        preds[start:stop] = labels.reshape(stop - start, n)
+    return preds
 
 
 def _estimate(preds: np.ndarray, kind: str) -> UncertaintyEstimate:
@@ -236,7 +242,8 @@ def epistemic(model: VaeClassifier, x: np.ndarray, n: int = 20,
         raise ValueError("latent sampling requires an rng")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     eps = rng.standard_normal((1, n - 1, model.latent)) if n > 1 else None
-    return _estimate(_vote_predictions(model, x, "epistemic", n, eps)[0], "epistemic")
+    return _estimate(_votes(model, x, "epistemic", n, lambda start, stop: eps)[0],
+                     "epistemic")
 
 
 def aleatoric(model: VaeClassifier, x: np.ndarray, n: int = 20,
@@ -251,7 +258,8 @@ def aleatoric(model: VaeClassifier, x: np.ndarray, n: int = 20,
         raise ValueError("input perturbation requires an rng")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     eps = rng.standard_normal((1, n - 1, x.shape[1])) if n > 1 and sigma > 0 else None
-    preds = _vote_predictions(model, x, "aleatoric", n, eps, sigma=sigma, scaler=scaler)
+    preds = _votes(model, x, "aleatoric", n, lambda start, stop: eps,
+                   sigma=sigma, scaler=scaler)
     return _estimate(preds[0], "aleatoric")
 
 
@@ -280,19 +288,13 @@ def uncertainty_records(model: VaeClassifier, split: DataSplit, kind: str,
         sigma = 0.1 * float(split.params.get("separation", 2.0))
     x = split.test.x
     width = model.latent if kind == "epistemic" else x.shape[1]
-    draws = n > 1 and (kind == "epistemic" or sigma > 0)
-    streams = Substreams(tuple(base_seed), np.arange(len(x))) if draws else None
-    shares = np.empty(len(x))
-    chunk = max(1, VOTE_ROWS // n)
-    for start in range(0, len(x), chunk):
-        stop = min(start + chunk, len(x))
-        eps = None
-        if draws:
-            eps = streams.standard_normal(start, np.empty((stop - start, n - 1, width)))
-        preds = _vote_predictions(model, x[start:stop], kind, n, eps,
-                                  sigma=sigma, scaler=scaler)
-        shares[start:stop] = preds.sum(axis=1) / n
-    return predictions_from_shares(shares, split.test.g)
+    draw = lambda start, stop: None
+    if n > 1 and (kind == "epistemic" or sigma > 0):
+        streams = Substreams(tuple(base_seed), np.arange(len(x)))
+        draw = lambda start, stop: streams.standard_normal(
+            start, np.empty((stop - start, n - 1, width)))
+    preds = _votes(model, x, kind, n, draw, sigma=sigma, scaler=scaler)
+    return predictions_from_shares(preds.sum(axis=1) / n, split.test.g)
 
 
 def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,
@@ -301,23 +303,13 @@ def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,
 
     Used during confidence-weight training, where each batch draws its C_i
     from a dedicated substream. Consumes (n - 1) draws of shape xs.shape[0]
-    x latent regardless of content, keeping the stream layout stable; they
-    are drawn and classified in blocks of up to VOTE_ROWS rows.
+    x latent regardless of content, keeping the stream layout stable, in one
+    (n - 1, b, latent) draw; the votes go through the same chunked loop as
+    ``uncertainty_records``.
     """
-    if n < 1:
-        raise ValueError(f"need at least one pass, got n={n}")
     if n > 1 and rng is None:
         raise ValueError("latent sampling requires an rng")
     xs = np.asarray(xs, dtype=np.float64)
-    mu, lv = model.encode_values(xs)
-    counts = (_predict_labels(model, mu) == 1).astype(np.float64)
-    if n > 1:
-        b, latent = mu.shape
-        sigma = np.exp(lv / 2.0)
-        block = max(1, VOTE_ROWS // max(b, 1))
-        for start in range(0, n - 1, block):
-            k = min(block, n - 1 - start)
-            z = mu + sigma * rng.standard_normal((k, b, latent))
-            votes = _predict_labels(model, z.reshape(k * b, latent)) == 1
-            counts += votes.reshape(k, b).sum(axis=0)
-    return counts / n
+    eps = rng.standard_normal((n - 1, len(xs), model.latent)) if n > 1 else None
+    draw = lambda start, stop: None if eps is None else eps[:, start:stop].swapaxes(0, 1)
+    return _votes(model, xs, "epistemic", n, draw).sum(axis=1) / n

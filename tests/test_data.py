@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from calibtrain.data import (
-    DataSplit,
     FeatureScaler,
     Subset,
     features,
     generate_gaussian_mixture,
     labels,
     posteriors,
-    read_split,
-    write_split,
 )
 from oracles import perturb
 
@@ -164,30 +161,6 @@ def test_scaler_degenerate_column():
 def test_scaler_requires_fit():
     with pytest.raises(RuntimeError):
         FeatureScaler().transform(np.zeros((2, 2)))
-
-
-def test_csv_round_trip(tmp_path):
-    split = small_split(seed=9, noise_rate=0.1)
-    write_split(split, tmp_path)
-    back = read_split(tmp_path)
-    assert isinstance(back, DataSplit)
-    assert back.seed == split.seed
-    assert back.params == split.params
-    for name in ("train", "validation", "test"):
-        orig, loaded = getattr(split, name), getattr(back, name)
-        assert len(orig) == len(loaded)
-        assert np.array_equal(orig.x, loaded.x)  # repr round-trips float64 exactly
-        assert np.array_equal(orig.g, loaded.g)
-        assert np.array_equal(orig.posterior, loaded.posterior)
-
-
-def test_csv_rewrite_byte_identical(tmp_path):
-    split = small_split(seed=9)
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    write_split(split, d1)
-    write_split(small_split(seed=9), d2)
-    for name in ("train.csv", "validation.csv", "test.csv", "manifest.json"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_class_counts_sum():

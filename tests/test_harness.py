@@ -1,5 +1,6 @@
 """Harness tests: config, training loop, selection, grid search, suite, CLI."""
 
+import argparse
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ from calibtrain.harness import (
     select_model,
     train,
 )
-from calibtrain.harness import pool, suite
+from calibtrain.harness import cli, pool, suite
 from calibtrain.harness.cli import main
 from calibtrain.harness.grid import grid_search
 from calibtrain.harness.suite import run_suite
@@ -232,6 +233,16 @@ def test_grid_irrelevant_key_warns_but_runs(caplog):
     assert result.cells[0].fold_scores == result.cells[1].fold_scores
 
 
+@pytest.mark.parametrize("criterion", ["max-val-bacc", "min-val-ece"])
+def test_grid_ties_go_to_first_cell(criterion):
+    # margin is not consumed by baseline, so every cell scores the same
+    cfg = tiny_config(epochs=1, criterion=criterion, loss={"strategy": "baseline"},
+                      grid={"margin": [0.6, 0.4, 0.5]})
+    result = grid_search(cfg, tiny_split(cfg))
+    assert len({c.mean_score for c in result.cells}) == 1
+    assert result.best.margin == 0.6
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_all_cells_failed():
     cfg = tiny_config(loss=dict(EXPLODING), grid={"lambda_n": [1e308]})
@@ -436,15 +447,6 @@ def test_suite_failed_report_write_leaves_no_manifest(tmp_path, monkeypatch):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_generate_data(tmp_path):
-    out = tmp_path / "data"
-    code = main(["generate-data", "--out", str(out),
-                 "--set", "sizes=[60,30,30]"])
-    assert code == 0
-    for name in ("train.csv", "validation.csv", "test.csv", "manifest.json"):
-        assert (out / name).exists()
-
-
 def test_cli_train_and_checkpoints(tmp_path, capsys):
     out = tmp_path / "train"
     code = main(["train", "--out", str(out), "--set", "sizes=[80,40,40]",
@@ -525,11 +527,24 @@ def test_cli_report_malformed_manifest(tmp_path, capsys, manifest):
     assert err[0].startswith("error: malformed manifest")
 
 
+def test_cli_docstring_lists_the_parsers_subcommands():
+    block = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split()[0] for line in block.splitlines()]
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(sub.choices)
+
+
 def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing")]) == 1
-    assert main(["generate-data", "--set", "badformat"]) == 2
-    assert main(["generate-data", "--set", "epochz=3"]) == 2
+    assert main(["train", "--set", "badformat"]) == 2
+    assert main(["train", "--set", "epochz=3"]) == 2
     capsys.readouterr()
+    # the retired split export is an unknown subcommand
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate-data"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'generate-data'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,problem", [

@@ -4,6 +4,7 @@ import pytest
 from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
+    KINDS,
     VOTE_ROWS,
     Substreams,
     UncertaintyEstimate,
@@ -178,6 +179,9 @@ def test_uncertainty_records_full_split():
     assert len(ale) == 25  # sigma defaulted from the split's separation
     with pytest.raises(ValueError):
         uncertainty_records(m, split, "dropout")
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="need at least one pass"):
+            uncertainty_records(m, split, kind, n=0)
 
 
 # -- chunked records against per-sample loops ---------------------------------------
@@ -377,5 +381,6 @@ def test_votes_cast_in_blocks_of_at_most_vote_rows(monkeypatch):
     rows.clear()
     xs = np.random.default_rng(6).uniform(-1, 1, (250, 2))
     epistemic_batch(m, xs, n=20, rng=np.random.default_rng(7))
-    # the deterministic pass, then 19 latent passes two at a time
-    assert rows == [250] + [500] * 9 + [250]
+    # the same loop: all 20 passes of VOTE_ROWS // 20 = 25 rows at a time
+    assert rows == [500] * 10
+    assert max(rows) <= VOTE_ROWS
