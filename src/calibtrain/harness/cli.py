@@ -25,7 +25,8 @@ from ..metrics import Bin, BinTable
 from ..model import VaeClassifier, save_checkpoint
 from .config import CRITERIA, ExperimentConfig, config_hash, criterion_value
 from .grid import grid_search
-from .suite import HISTORY_COLUMNS, generate_split, history_rows, run_suite, write_csv
+from .suite import (HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split, history_rows,
+                    reliability_title, run_suite, write_csv)
 from .svg import write_reliability_svg
 from .training import select_model, train
 
@@ -180,9 +181,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-RELIABILITY_COLUMNS = 6   # bin, lower, upper, count, conf, acc
-
-
 def _table_from_csv(path: Path) -> BinTable:
     """A reliability table read back from its CSV; ValueError names the file."""
     scheme = next((s for s in ("equal_width", "adaptive")
@@ -196,13 +194,14 @@ def _table_from_csv(path: Path) -> BinTable:
     bins = []
     for row, line in enumerate(lines, start=2):
         cells = line.split(",")
-        if len(cells) != RELIABILITY_COLUMNS:
+        if len(cells) != len(RELIABILITY_COLUMNS):
             raise ValueError(f"{path}: line {row} has {len(cells)} columns, "
-                             f"expected {RELIABILITY_COLUMNS}")
-        _, lower, upper, count, conf, acc = cells
+                             f"expected {len(RELIABILITY_COLUMNS)}")
+        cell = dict(zip(RELIABILITY_COLUMNS, cells))
         try:
-            bins.append(Bin(lower=opt(lower), upper=opt(upper), count=int(count),
-                            conf=opt(conf), acc=opt(acc)))
+            bins.append(Bin(lower=opt(cell["lower"]), upper=opt(cell["upper"]),
+                            count=int(cell["count"]), conf=opt(cell["conf"]),
+                            acc=opt(cell["acc"])))
         except ValueError as err:
             raise ValueError(f"{path}: line {row}: {err}") from None
     n = sum(b.count for b in bins)
@@ -221,8 +220,8 @@ def cmd_plot(args) -> int:
     for path, table in tables:
         suffix = f"_{table.scheme}"
         strategy = path.stem[: -len(suffix)]
-        title = f"{strategy} ({table.scheme.replace('_', '-')} bins)"
-        write_reliability_svg(table, path.with_suffix(".svg"), title)
+        write_reliability_svg(table, path.with_suffix(".svg"),
+                              reliability_title(strategy, table.scheme))
         print(f"rendered {path.with_suffix('.svg')}")
     return 0
 

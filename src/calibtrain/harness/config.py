@@ -80,6 +80,9 @@ class ExperimentConfig:
         self.sizes = tuple(int(s) for s in self.sizes)
         if len(self.sizes) != 3:
             raise ValueError(f"sizes must be (train, validation, test), got {self.sizes}")
+        for name in ("d", "hidden", "latent"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

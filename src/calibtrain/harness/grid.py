@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import DataSplit
-from ..losses import _RELEVANT, _SHARED, LossSpec
+from ..losses import STRATEGIES, LossSpec
 from .config import ExperimentConfig, beats, criterion_value
 from .training import select_model, train
 
@@ -52,9 +52,8 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
     if not config.grid:
         raise ValueError("grid search needs a nonempty grid")
     base = LossSpec.from_dict(dict(config.loss))
-    relevant = _SHARED | _RELEVANT[base.strategy]
     for key in config.grid:
-        if key not in relevant:
+        if key not in STRATEGIES[base.strategy].fields:
             log_.warning("grid key %r is not consumed by strategy %r; "
                          "cells will differ only in the recorded config", key, base.strategy)
 
@@ -74,12 +73,9 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
                 break
             entry, _ = select_model(history, config.criterion)
             fold_scores.append(criterion_value(config.criterion, entry))
-        if failed:
-            cells.append(GridCell(values=values, fold_scores=fold_scores,
-                                  mean_score=float("nan"), failed=True))
-        else:
-            cells.append(GridCell(values=values, fold_scores=fold_scores,
-                                  mean_score=float(np.mean(fold_scores))))
+        mean_score = float("nan") if failed else float(np.mean(fold_scores))
+        cells.append(GridCell(values=values, fold_scores=fold_scores,
+                              mean_score=mean_score, failed=failed))
 
     scored = [c for c in cells if not c.failed]
     if not scored:

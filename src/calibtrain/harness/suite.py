@@ -54,6 +54,12 @@ from .training import evaluate_records, select_model, train
 METRIC_COLUMNS = ("ece", "aece", "oe", "mce", "bs", "sen", "spe", "bacc")
 HISTORY_COLUMNS = ("epoch", "train_loss", "val_bacc", "val_ece")
 EVAL_MODES = ("softmax", "epistemic", "aleatoric")
+RELIABILITY_COLUMNS = ("bin", "lower", "upper", "count", "conf", "acc")   # BinTable.rows() keys
+
+
+def reliability_title(strategy: str, scheme: str) -> str:
+    """The title of a reliability diagram, as the suite and ``plot`` draw it."""
+    return f"{strategy} ({scheme.replace('_', '-')} bins)"
 
 
 def fmt(value) -> str:
@@ -323,12 +329,10 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             continue
         for scheme in ("equal_width", "adaptive"):
             table = reliability_table(records, scheme, 15)
-            rows = [[r["bin"], r["lower"], r["upper"], r["count"], r["conf"], r["acc"]]
-                    for r in table.rows()]
-            report(rel_dir / f"{strategy}_{scheme}.csv",
-                      ["bin", "lower", "upper", "count", "conf", "acc"], rows)
+            rows = [[r[col] for col in RELIABILITY_COLUMNS] for r in table.rows()]
+            report(rel_dir / f"{strategy}_{scheme}.csv", RELIABILITY_COLUMNS, rows)
             write_reliability_svg(table, rel_dir / f"{strategy}_{scheme}.svg",
-                                  f"{strategy} ({scheme.replace('_', '-')} bins)")
+                                  reliability_title(strategy, scheme))
 
     # manifest: config hash plus a traceable index of every cell
     manifest = {

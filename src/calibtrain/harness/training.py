@@ -13,7 +13,6 @@ so ties resolve to the earliest epoch).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from ..autodiff import Adam, NonFiniteGradient, backward
 from ..data import DataSplit, FeatureScaler
-from ..losses import LossSpec, total_loss
+from ..losses import STRATEGIES, LossSpec, total_loss
 from ..metrics import Predictions, classification_metrics, ece, records_from_probs
 from ..model import NonFiniteActivation, VaeClassifier
 from ..uncertainty import epistemic_batch
@@ -90,8 +89,9 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
           spec: LossSpec | None = None) -> EpochHistory:
     """Run one training job; returns the epoch history with best checkpoints.
 
-    A non-finite loss or gradient aborts the run, keeping the history built
-    so far and the failure message.
+    The AvUC threshold is 1.0 for AVUC_WARMUP_EPOCHS epochs, then the previous
+    epoch's mean accurate entropy. A non-finite loss or gradient aborts the
+    run, keeping the history built so far and the failure message.
     """
     spec = spec if spec is not None else LossSpec.from_dict(dict(config.loss))
     scaler = FeatureScaler().fit(split.train.x)
@@ -107,13 +107,12 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
     rng = np.random.default_rng((seed, 1))
     history = EpochHistory()
     n = x_train.shape[0]
-    threshold = 1.0
+    votes = STRATEGIES[spec.strategy].weighted
+    track_threshold = spec.strategy == "avuc"
+    threshold = 1.0           # the AvUC threshold after warm-up
 
     for epoch in range(config.epochs):
-        epoch_spec = spec
-        if spec.strategy == "avuc":
-            t = 1.0 if epoch < AVUC_WARMUP_EPOCHS else threshold
-            epoch_spec = dataclasses.replace(spec, avuc_threshold=t)
+        epoch_threshold = 1.0 if epoch < AVUC_WARMUP_EPOCHS else threshold
         order = rng.permutation(n)
         batch_losses = []
         epoch_probs, epoch_correct = [], []
@@ -123,17 +122,18 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
                 xb, gb = x_train[idx], g_train[idx]
                 out = model.forward(xb, rng=rng, sample_latent=True)
                 conf = None
-                if spec.strategy == "confidence_weight":
+                if votes:
                     conf = epistemic_batch(model, xb, n=config.n_uncertainty,
                                            rng=np.random.default_rng((seed, 2, epoch, b)))
-                loss, batch = total_loss(xb, out, gb, epoch_spec, epistemic_conf=conf)
+                loss, batch = total_loss(xb, out, gb, spec, epistemic_conf=conf,
+                                         avuc_threshold=epoch_threshold)
                 if not np.isfinite(loss.value):
                     raise NonFiniteGradient(f"non-finite loss at epoch {epoch} batch {b}")
                 model.params.zero_grad()
                 backward(loss)
                 opt.step()
                 batch_losses.append(float(loss.value))
-                if spec.strategy == "avuc":
+                if track_threshold:
                     epoch_probs.append(out.probs)
                     epoch_correct.append(batch.correct)
         except (NonFiniteGradient, NonFiniteActivation) as err:
@@ -141,7 +141,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
             history.failure = str(err)
             return history
 
-        if spec.strategy == "avuc" and epoch_probs:
+        if track_threshold and epoch_probs:
             threshold = _mean_accurate_entropy(np.concatenate(epoch_probs),
                                                np.concatenate(epoch_correct),
                                                fallback=threshold)

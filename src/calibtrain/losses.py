@@ -7,8 +7,11 @@ Every strategy produces a scalar loss
 
 where L_N is the strategy-specific regularizer; the confidence-weight strategy
 instead replaces L_C with a per-sample weighted cross-entropy and has no
-lambda_n term. Coefficients that are exactly 0.0 short-circuit their term, so
-the remaining loss (and its gradients) matches the reduced loss bitwise.
+lambda_n term. ``STRATEGIES`` holds one row per strategy: the ``LossSpec``
+fields it reads and its change to the baseline loss. AvUC's threshold is
+training state, an argument of ``total_loss``. Coefficients that are exactly
+0.0 short-circuit their term, so the remaining loss (and its gradients)
+matches the reduced loss bitwise.
 
 Confidence r_i is the probability of the arg-max class; the arg-max itself is
 treated as locally constant, so gradients flow through the selected entries
@@ -41,27 +44,37 @@ log_ = logging.getLogger(__name__)
 
 EPS = 1e-12   # floor for logs, denominators and fractional-power bases
 
-STRATEGIES = (
-    "baseline",
-    "paired_confidence",
-    "probability",
-    "confidence_weight",
-    "avuc",
-    "soft_ece",
-    "mmce",
-)
 
-# hyperparameters each strategy actually reads (beyond the shared lambdas)
-_RELEVANT = {
-    "baseline": set(),
-    "paired_confidence": {"lambda_n", "margin"},
-    "probability": {"lambda_n"},
-    "confidence_weight": {"weight_floor"},
-    "avuc": {"lambda_n", "avuc_threshold"},
-    "soft_ece": {"lambda_n", "temperature", "n_bins", "norm_order"},
-    "mmce": {"lambda_n", "kernel_width"},
+class Strategy(NamedTuple):
+    """A row of STRATEGIES: the LossSpec fields a strategy reads beyond
+    strategy, lambda_kl and lambda_c, and what it does to the baseline loss.
+    It adds ``lambda_n * regularizer(batch, spec, avuc_threshold)``, or
+    (``weighted``) weights L_C per sample by the batch's epistemic
+    confidences, which training must then supply."""
+
+    reads: tuple[str, ...] = ()
+    regularizer: Callable | None = None
+    weighted: bool = False
+
+    @property
+    def fields(self) -> set[str]:
+        """Every LossSpec field the strategy reads, the shared ones included."""
+        return {"strategy", "lambda_kl", "lambda_c", *self.reads}
+
+
+STRATEGIES = {
+    "baseline": Strategy(),
+    "paired_confidence": Strategy(("lambda_n", "margin"),
+                                  lambda b, s, t: paired_confidence_loss(b, s.margin)),
+    "probability": Strategy(("lambda_n",), lambda b, s, t: probability_loss(b)),
+    "confidence_weight": Strategy(("weight_floor",), weighted=True),
+    "avuc": Strategy(("lambda_n",), lambda b, s, t: avuc_loss(b, t)),
+    "soft_ece": Strategy(("lambda_n", "temperature", "n_bins", "norm_order"),
+                         lambda b, s, t: soft_ece_loss(b, s.n_bins, s.temperature,
+                                                       s.norm_order)),
+    "mmce": Strategy(("lambda_n", "kernel_width"),
+                     lambda b, s, t: mmce_loss(b, s.kernel_width)),
 }
-_SHARED = {"strategy", "lambda_kl", "lambda_c"}
 
 
 @dataclass
@@ -84,11 +97,10 @@ class LossSpec:
     n_bins: int = 15
     norm_order: float = 2.0
     kernel_width: float = 0.4
-    avuc_threshold: float = 1.0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {list(STRATEGIES)}")
         for name in ("lambda_kl", "lambda_c", "lambda_n"):
             v = getattr(self, name)
             if v < 0:
@@ -105,19 +117,17 @@ class LossSpec:
             raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
         if self.kernel_width <= 0:
             raise ValueError(f"kernel_width must be > 0, got {self.kernel_width}")
-        if not (0.0 <= self.avuc_threshold <= 1.0):
-            raise ValueError(f"avuc_threshold must lie in [0, 1], got {self.avuc_threshold}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
         """Parse a config mapping; irrelevant keys are ignored with a notice."""
-        unknown = set(d) - _SHARED - set(cls.__dataclass_fields__)
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown loss config keys: {sorted(unknown)}")
         strategy = d.get("strategy")
         if strategy is None:
             raise ValueError("loss config must name a strategy")
-        relevant = _SHARED | _RELEVANT.get(strategy, set())
+        relevant = STRATEGIES.get(strategy, Strategy()).fields   # __post_init__ names a bad one
         kept = {k: v for k, v in d.items() if k in relevant}
         ignored = sorted(set(d) - relevant)
         if ignored:
@@ -519,27 +529,15 @@ def mmce_loss(batch: BatchView, kernel_width: float) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# composite dispatch
+# the composite
 # ---------------------------------------------------------------------------
 
-def strategy_regularizer(batch: BatchView, spec: LossSpec) -> Term | None:
-    if spec.strategy == "paired_confidence":
-        return paired_confidence_loss(batch, spec.margin)
-    if spec.strategy == "probability":
-        return probability_loss(batch)
-    if spec.strategy == "avuc":
-        return avuc_loss(batch, spec.avuc_threshold)
-    if spec.strategy == "soft_ece":
-        return soft_ece_loss(batch, spec.n_bins, spec.temperature, spec.norm_order)
-    if spec.strategy == "mmce":
-        return mmce_loss(batch, spec.kernel_width)
-    return None
-
-
 def total_loss(x: np.ndarray, result: ForwardResult, labels: np.ndarray,
-               spec: LossSpec,
-               epistemic_conf: np.ndarray | None = None) -> tuple[Loss, BatchView]:
-    """Assemble the full training loss for one batch.
+               spec: LossSpec, epistemic_conf: np.ndarray | None = None,
+               avuc_threshold: float = 1.0) -> tuple[Loss, BatchView]:
+    """Assemble the full training loss for one batch, as the strategy's row
+    of STRATEGIES says. ``avuc_threshold`` is training state: the entropy
+    below which AvUC counts a prediction as certain.
 
     Terms with a coefficient of exactly 0.0 are omitted, so dropping a term
     and zeroing its coefficient are indistinguishable, down to the
@@ -549,14 +547,13 @@ def total_loss(x: np.ndarray, result: ForwardResult, labels: np.ndarray,
     batch = make_batch_view(result.probs, labels, epistemic_conf)
     recon = reconstruction_loss(x, result.xhat)
     kl = kl_loss(result.mu_z, result.logvar_z) if spec.lambda_kl != 0.0 else None
+    row = STRATEGIES[spec.strategy]
     on_probs = []                     # (term, weight) pairs reading the probabilities
     if spec.lambda_c != 0.0:
-        if spec.strategy == "confidence_weight":
-            on_probs.append((weighted_classifier_loss(batch, spec.weight_floor), spec.lambda_c))
-        else:
-            on_probs.append((classifier_bce(batch), spec.lambda_c))
-    if spec.strategy not in ("baseline", "confidence_weight") and spec.lambda_n != 0.0:
-        on_probs.append((strategy_regularizer(batch, spec), spec.lambda_n))
+        on_probs.append((weighted_classifier_loss(batch, spec.weight_floor) if row.weighted
+                         else classifier_bce(batch), spec.lambda_c))
+    if row.regularizer is not None and spec.lambda_n != 0.0:
+        on_probs.append((row.regularizer(batch, spec, avuc_threshold), spec.lambda_n))
 
     value = recon.value
     if kl is not None:

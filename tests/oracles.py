@@ -895,19 +895,20 @@ def graph_mmce_loss(batch: GraphBatchView, kernel_width: float) -> Node:
     return power(relu(total), 0.5)
 
 
-def graph_regularizer(batch: GraphBatchView, spec) -> Node:
+def graph_regularizer(batch: GraphBatchView, spec, avuc_threshold) -> Node:
     if spec.strategy == "paired_confidence":
         return graph_paired_confidence_loss(batch, spec.margin)
     if spec.strategy == "probability":
         return graph_probability_loss(batch)
     if spec.strategy == "avuc":
-        return graph_avuc_loss(batch, spec.avuc_threshold)
+        return graph_avuc_loss(batch, avuc_threshold)
     if spec.strategy == "soft_ece":
         return graph_soft_ece_loss(batch, spec.n_bins, spec.temperature, spec.norm_order)
     return graph_mmce_loss(batch, spec.kernel_width)
 
 
-def graph_total_loss(x, result: GraphForward, labels, spec, epistemic_conf=None):
+def graph_total_loss(x, result: GraphForward, labels, spec, epistemic_conf=None,
+                     avuc_threshold=1.0):
     """``losses.total_loss`` as one autodiff node per operation."""
     batch = graph_batch_view(result.probs, labels, epistemic_conf)
     loss = graph_reconstruction_loss(x, result.xhat)
@@ -919,5 +920,5 @@ def graph_total_loss(x, result: GraphForward, labels, spec, epistemic_conf=None)
         else:
             loss = loss + graph_classifier_bce(batch) * spec.lambda_c
     if spec.strategy not in ("baseline", "confidence_weight") and spec.lambda_n != 0.0:
-        loss = loss + graph_regularizer(batch, spec) * spec.lambda_n
+        loss = loss + graph_regularizer(batch, spec, avuc_threshold) * spec.lambda_n
     return loss, batch

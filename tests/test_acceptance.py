@@ -129,8 +129,7 @@ FD_SPECS = [
     LossSpec(strategy="paired_confidence", lambda_kl=0.01, lambda_c=2.0,
              lambda_n=0.7, margin=0.6),
     LossSpec(strategy="probability", lambda_kl=0.01, lambda_c=2.0, lambda_n=0.7),
-    LossSpec(strategy="avuc", lambda_kl=0.01, lambda_c=2.0, lambda_n=0.7,
-             avuc_threshold=1.0),
+    LossSpec(strategy="avuc", lambda_kl=0.01, lambda_c=2.0, lambda_n=0.7),
     LossSpec(strategy="soft_ece", lambda_kl=0.01, lambda_c=2.0, lambda_n=0.7,
              temperature=0.1),
     LossSpec(strategy="mmce", lambda_kl=0.01, lambda_c=2.0, lambda_n=0.7),

@@ -1,6 +1,7 @@
 """Harness tests: config, training loop, selection, grid search, suite, CLI."""
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -20,11 +21,13 @@ from calibtrain.harness import (
     select_model,
     train,
 )
-from calibtrain.harness import cli, pool, suite
+from calibtrain.harness import cli, pool, suite, training
 from calibtrain.harness.cli import main
+from calibtrain.harness.config import DEFAULT_SUITE
 from calibtrain.harness.grid import grid_search
 from calibtrain.harness.suite import run_suite
-from calibtrain.losses import LossSpec
+from calibtrain.harness.training import AVUC_WARMUP_EPOCHS
+from calibtrain.losses import STRATEGIES, LossSpec
 from calibtrain.uncertainty import uncertainty_records
 
 TINY = dict(sizes=(80, 40, 40), epochs=2, batch_size=20, seeds=[0],
@@ -88,6 +91,9 @@ def test_config_json_round_trip(tmp_path):
     dict(grid={"lambda_n": []}),
     dict(loss={"strategy": "nope"}),
     dict(suite=[{"strategy": "baseline"}, {"strategy": "nope"}]),
+    dict(d=0),
+    dict(hidden=0),
+    dict(latent=-1),
 ])
 def test_config_rejects_bad_values(bad):
     kw = dict(TINY)
@@ -139,6 +145,50 @@ def test_conf_weight_one_matches_baseline_history():
     spec = LossSpec.from_dict({"strategy": "confidence_weight", "weight_floor": 1.0})
     weighted = train(cfg, split, seed=0, spec=spec)
     assert [e.__dict__ for e in weighted.entries] == [e.__dict__ for e in base.entries]
+
+
+# a valid value other than the default for every field a strategy row reads
+CHANGED = {"lambda_n": 0.5, "margin": 0.3, "weight_floor": 0.5, "temperature": 0.05,
+           "n_bins": 5, "norm_order": 1.0, "kernel_width": 0.2}
+
+
+@pytest.mark.parametrize("strategy, field", [
+    (strategy, field) for strategy, row in STRATEGIES.items() for field in row.reads])
+def test_every_field_a_strategy_reads_changes_training(strategy, field):
+    # past AvUC's warm-up, so a threshold the loss read would show too
+    cfg = tiny_config(epochs=AVUC_WARMUP_EPOCHS + 2)
+    split = tiny_split(cfg)
+    spec = LossSpec(strategy=strategy)
+    histories = [train(cfg, split, seed=0, spec=s)
+                 for s in (spec, dataclasses.replace(spec, **{field: CHANGED[field]}))]
+    assert all(len(h.entries) == cfg.epochs for h in histories)
+    assert histories[0].entries != histories[1].entries
+
+
+def test_avuc_threshold_follows_warmup_then_accurate_entropy(monkeypatch):
+    cfg = tiny_config(epochs=AVUC_WARMUP_EPOCHS + 2, loss={"strategy": "avuc"})
+    seen = []   # (threshold, probabilities, correctness) per batch
+    real_total_loss = training.total_loss
+
+    def spy(*args, **kwargs):
+        loss, batch = real_total_loss(*args, **kwargs)
+        seen.append((kwargs["avuc_threshold"], batch.probs, batch.correct))
+        return loss, batch
+
+    monkeypatch.setattr(training, "total_loss", spy)
+    train(cfg, tiny_split(cfg), seed=0)
+    per_epoch = len(seen) // cfg.epochs
+    epochs = [seen[e * per_epoch:(e + 1) * per_epoch] for e in range(cfg.epochs)]
+    for epoch, batches in enumerate(epochs):
+        want = 1.0
+        if epoch >= AVUC_WARMUP_EPOCHS:
+            prev = epochs[epoch - 1]
+            p = np.concatenate([probs for _, probs, _ in prev])
+            p = p[np.concatenate([correct for _, _, correct in prev])]
+            entropy = np.mean(-(p * np.log2(p)).sum(axis=1))
+            assert 0 < len(p) and entropy < 1.0
+            want = pytest.approx(entropy, rel=1e-12)
+        assert [t for t, _, _ in batches] == [want] * per_epoch, epoch
 
 
 def test_train_records_best_per_criterion():
@@ -535,6 +585,20 @@ def test_cli_docstring_lists_the_parsers_subcommands():
     assert listed == list(sub.choices)
 
 
+def test_strategy_names_agree_across_readme_cli_and_default_suite():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| strategy ", 1)[1].split("\n\n", 1)[0]
+    in_readme = re.findall(r"^\s*\| `(\w+)`", table, flags=re.MULTILINE)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        option = next((a for a in parser._actions if a.dest == "strategy"), None)
+        if option is not None:
+            assert list(option.choices) == list(STRATEGIES), name
+    assert in_readme == list(STRATEGIES)
+    assert [entry["strategy"] for entry in DEFAULT_SUITE] == list(STRATEGIES)
+
+
 def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing")]) == 1
     assert main(["train", "--set", "badformat"]) == 2
@@ -553,6 +617,11 @@ def test_cli_bad_inputs(tmp_path, capsys):
     (["suite", "--data-seed", "-1"], "data_seed must be non-negative"),
     (["suite", "--seeds", "1,x"], "--seeds expects comma-separated integers"),
     (["train", "--seed", "-1"], "--seed must be non-negative"),
+    (["suite", "--seeds", "0", "--set", "hidden=0"], "hidden must be >= 1, got 0"),
+    # the AvUC threshold is training state, not a loss or grid key
+    (["train", "--set", 'loss={"strategy": "avuc", "avuc_threshold": 0.5}'], "avuc_threshold"),
+    (["grid", "--strategy", "avuc", "--set", 'grid={"avuc_threshold": [0.2, 0.9]}'],
+     "avuc_threshold"),
 ])
 def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     out = tmp_path / "run"

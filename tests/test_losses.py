@@ -10,6 +10,7 @@ from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.data import labels as split_labels
 from calibtrain.harness.config import DEFAULT_SUITE
 from calibtrain.losses import (
+    STRATEGIES,
     BatchView,
     LossSpec,
     avuc_loss,
@@ -22,7 +23,6 @@ from calibtrain.losses import (
     probability_loss,
     reconstruction_loss,
     soft_ece_loss,
-    strategy_regularizer,
     total_loss,
     weighted_classifier_loss,
 )
@@ -84,11 +84,12 @@ def test_spec_accepts_tuned_operating_points():
     dict(strategy="soft_ece", n_bins=1),
     dict(strategy="soft_ece", norm_order=0.5),
     dict(strategy="mmce", kernel_width=0.0),
-    dict(strategy="avuc", avuc_threshold=1.5),
+    dict(strategy="avuc", avuc_threshold=0.5),   # training state, not a field
 ])
 def test_spec_rejects_bad_values(kw):
+    # from_dict passes the keys a strategy reads on to LossSpec's checks
     with pytest.raises(ValueError):
-        LossSpec(**kw)
+        LossSpec.from_dict(kw)
 
 
 def test_from_dict_ignores_irrelevant_keys_with_notice(caplog):
@@ -480,7 +481,7 @@ def _spread_model():
     return model
 
 
-def _check_against_graph_reference(scaled_batch, spec, n, sample_latent):
+def _check_against_graph_reference(scaled_batch, spec, n, sample_latent, avuc_threshold=1.0):
     x, g = scaled_batch[0][:n], scaled_batch[1][:n]
     model = _spread_model()
     conf = None
@@ -490,7 +491,8 @@ def _check_against_graph_reference(scaled_batch, spec, n, sample_latent):
     def run(forward, loss_fn, backward_fn):
         model.params.zero_grad()
         out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
-        loss, batch = loss_fn(x, out, g, spec, epistemic_conf=conf)
+        loss, batch = loss_fn(x, out, g, spec, epistemic_conf=conf,
+                              avuc_threshold=avuc_threshold)
         backward_fn(loss)
         return loss.value, batch, {name: p.grad.copy() for name, p in model.params.items()}
 
@@ -509,6 +511,13 @@ def _check_against_graph_reference(scaled_batch, spec, n, sample_latent):
 def test_fused_heads_match_graph_reference_bitwise(scaled_batch, entry, n, sample_latent):
     _check_against_graph_reference(scaled_batch, LossSpec.from_dict(dict(entry)), n,
                                    sample_latent)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.6])
+def test_fused_heads_match_graph_reference_with_avuc_threshold(scaled_batch, threshold):
+    # the threshold reaches both composites as an argument, not through the spec
+    _check_against_graph_reference(scaled_batch, LossSpec(strategy="avuc"), 25, True,
+                                   avuc_threshold=threshold)
 
 
 # (strategy, (lambda_c, lambda_kl, lambda_n)) per case. A dropped term changes
@@ -550,8 +559,9 @@ def test_loss_value_sums_weighted_terms_left_to_right(scaled_batch, entry):
         want = want + weighted_classifier_loss(batch, spec.weight_floor).value * spec.lambda_c
     else:
         want = want + classifier_bce(batch).value * spec.lambda_c
-    if spec.strategy not in ("baseline", "confidence_weight"):
-        want = want + strategy_regularizer(batch, spec).value * spec.lambda_n
+    regularizer = STRATEGIES[spec.strategy].regularizer
+    if regularizer is not None:
+        want = want + regularizer(batch, spec, 1.0).value * spec.lambda_n
     assert loss.value == want
 
 
