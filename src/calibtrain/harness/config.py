@@ -9,13 +9,14 @@ and the path is relative.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..losses import LossSpec
+from ..losses import LossSpec, check_number, checked_int
 
 CRITERIA = ("max-val-bacc", "min-val-ece")
 
@@ -77,9 +78,24 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        self.sizes = tuple(int(s) for s in self.sizes)
-        if len(self.sizes) != 3:
-            raise ValueError(f"sizes must be (train, validation, test), got {self.sizes}")
+        # JSON gives any type anywhere: check types before comparing values
+        if not isinstance(self.sizes, (list, tuple)) or len(self.sizes) != 3:
+            raise ValueError(f"sizes must be (train, validation, test), got {self.sizes!r}")
+        self.sizes = tuple(checked_int("sizes", s) for s in self.sizes)
+        for name in ("d", "hidden", "latent", "epochs", "batch_size", "data_seed",
+                     "n_uncertainty"):
+            setattr(self, name, checked_int(name, getattr(self, name)))
+        for name in ("separation", "noise_rate", "positive_fraction", "lr_vae", "lr_classifier"):
+            check_number(name, getattr(self, name))
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+        self.seeds = [checked_int("seeds", s) for s in self.seeds]
+        for name, kind in (("loss", dict), ("grid", dict), ("suite", list), ("out_dir", str)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a JSON {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
+        if not all(isinstance(entry, dict) for entry in self.suite):
+            raise ValueError(f"suite entries must be JSON objects, got {self.suite!r}")
         for name in ("d", "hidden", "latent"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -93,7 +109,6 @@ class ExperimentConfig:
             raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
-        self.seeds = [int(s) for s in self.seeds]
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
@@ -102,16 +117,20 @@ class ExperimentConfig:
             raise ValueError(f"data_seed must be non-negative, got {self.data_seed}")
         if self.n_uncertainty < 1:
             raise ValueError(f"n_uncertainty must be >= 1, got {self.n_uncertainty}")
-        loss_fields = set(LossSpec.__dataclass_fields__)
-        for key in self.grid:
-            if key not in loss_fields:
-                raise ValueError(f"grid key {key!r} does not name a loss hyperparameter")
-            if not self.grid[key]:
-                raise ValueError(f"grid key {key!r} has no candidate values")
-        # fail early on malformed loss configs
-        LossSpec.from_dict(dict(self.loss))
+        # fail early on malformed loss configs, grid candidates included
+        base = LossSpec.from_dict(dict(self.loss))
         for entry in self.suite:
             LossSpec.from_dict(dict(entry))
+        loss_fields = set(LossSpec.__dataclass_fields__)
+        for key, candidates in self.grid.items():
+            if key not in loss_fields:
+                raise ValueError(f"grid key {key!r} does not name a loss hyperparameter")
+            if not isinstance(candidates, (list, tuple)):
+                raise ValueError(f"grid key {key!r} needs a list of candidates, got {candidates!r}")
+            if not candidates:
+                raise ValueError(f"grid key {key!r} has no candidate values")
+            for value in candidates:
+                dataclasses.replace(base, **{key: value})
 
     # -- serialization -----------------------------------------------------
 
@@ -122,6 +141,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

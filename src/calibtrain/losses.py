@@ -27,18 +27,25 @@ parts in the order the graph adds them to the input. ``total_loss`` sums the
 probabilities' parts left to right, classifier term first, and hands the
 cotangents to ``VaeClassifier.backward``. Values and gradients are
 therefore bitwise those of the reference.
+
+The pair-based terms cost n^2 per batch and keep their n x n arrays few.
+The paired-confidence hinge works on each side's incorrect rows alone, as
+(incorrect x n) arrays, and fills one n x n matrix only for its value's
+sum. MMCE builds its kernel in place and its kernel cotangent in two
+n x n buffers.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import ForwardResult, _in_order, _softmax_values
+from .model import ForwardResult, _in_order
 
 log_ = logging.getLogger(__name__)
 
@@ -77,6 +84,23 @@ STRATEGIES = {
 }
 
 
+def checked_int(name: str, value) -> int:
+    """``value`` as an int: an integer, or a float with an integral value.
+    Bools, strings and fractions are a ValueError naming the field."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """A ValueError naming the field unless ``value`` is a real number (not
+    a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class LossSpec:
     """Strategy tag plus every tunable the strategies read.
@@ -99,8 +123,12 @@ class LossSpec:
     kernel_width: float = 0.4
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if not isinstance(self.strategy, str) or self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {list(STRATEGIES)}")
+        for name in ("lambda_kl", "lambda_c", "lambda_n", "margin", "weight_floor",
+                     "temperature", "norm_order", "kernel_width"):
+            check_number(name, getattr(self, name))
+        self.n_bins = checked_int("n_bins", self.n_bins)
         for name in ("lambda_kl", "lambda_c", "lambda_n"):
             v = getattr(self, name)
             if v < 0:
@@ -125,8 +153,8 @@ class LossSpec:
         if unknown:
             raise ValueError(f"unknown loss config keys: {sorted(unknown)}")
         strategy = d.get("strategy")
-        if strategy is None:
-            raise ValueError("loss config must name a strategy")
+        if not isinstance(strategy, str):
+            raise ValueError(f"loss config must name a strategy as a string, got {strategy!r}")
         relevant = STRATEGIES.get(strategy, Strategy()).fields   # __post_init__ names a bad one
         kept = {k: v for k, v in d.items() if k in relevant}
         ignored = sorted(set(d) - relevant)
@@ -228,6 +256,36 @@ def _row_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=(0,), keepdims=True)
 
 
+def _sum_as_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.float64:
+    """The sum of an n-row matrix that holds ``values`` in ``rows`` and
+    zeros elsewhere: numpy's pairwise order over the full matrix, so the
+    bits of summing that matrix."""
+    full = np.zeros((n, values.shape[1]))
+    full[rows] = values
+    return full.sum()
+
+
+def _outer_sum(factors) -> np.ndarray:
+    """col @ row.T summed over (col, row) pairs of (n, 1) arrays, left to
+    right, in two (n, n) buffers. A broadcast product equals the K=1 matrix
+    product; the two differ at most in the sign of a zero."""
+    total = part = None
+    for col, row in factors:
+        if total is None:
+            total = col * row.T
+        else:
+            part = np.multiply(col, row.T, out=part)
+            total += part
+    return total
+
+
+def _softmax_values(x: np.ndarray) -> np.ndarray:
+    """Row softmax over the last axis; rows sum to 1 within 1e-12."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _mean(a: np.ndarray):
     """``a.mean()`` to the bit (numpy divides the same sum by the count),
     without the Python-level wrapper around it."""
@@ -311,30 +369,38 @@ def paired_confidence_loss(batch: BatchView, margin: float) -> Term:
     Each side sums max(P_i - P_j + margin, 0) over (i incorrect, j correct)
     pairs and divides by its incorrect count alone (not the pair count).
     A side with no incorrect or no correct members contributes 0.
+
+    Only a side's incorrect rows hold pairs, so its hinge, mask and
+    cotangent are (incorrect x n) arrays. The value alone is summed over the
+    full n x n matrix, zero outside those rows, and each row and column sum
+    of the cotangent still runs over the same entries in the same order, so
+    every bit is that of the n x n reference.
     """
+    n = batch.n
     sides = []
     for side_prob, select, side_mask in ((batch.prob_pos(), _POS, batch.predicted == 1),
                                          (batch.prob_neg(), _NEG, batch.predicted == 0)):
-        inc = (side_mask & ~batch.correct).astype(np.float64)[:, None]
-        cor = (side_mask & batch.correct).astype(np.float64)[:, None]
-        n_inc = inc.sum()
-        if n_inc == 0 or cor.sum() == 0:
+        rows = np.flatnonzero(side_mask & ~batch.correct)
+        cor = (side_mask & batch.correct).astype(np.float64)[None, :]   # (1, n)
+        if rows.size == 0 or not cor.any():
             continue
-        hinge_in = (side_prob - side_prob.T) + margin     # [i, j] = P_i - P_j + margin
+        hinge_in = (side_prob[rows] - side_prob.T) + margin   # [a, j] = P_rows[a] - P_j + margin
         active = hinge_in > 0
-        pair_mask = inc * cor.T                           # 1 where (i inc, j cor)
-        scale = 1.0 / n_inc
-        side = (np.where(active, hinge_in, 0.0) * pair_mask).sum() * scale
-        sides.append((side, select, pair_mask, active, scale))
+        np.maximum(hinge_in, 0.0, out=hinge_in)
+        hinge_in *= cor
+        scale = 1.0 / rows.size
+        sides.append((_sum_as_rows(hinge_in, rows, n) * scale, select, rows, cor, active, scale))
     if not sides:
         return _ZERO
     value = _in_order([side[0] for side in sides])
 
     def vjp(g):
         parts = []
-        for _, select, pair_mask, active, scale in sides:
-            g_diff = ((g * scale) * pair_mask) * active
-            g_side = _column_sum(g_diff) + (-_row_sum(g_diff)).T
+        for _, select, rows, cor, active, scale in sides:
+            g_rows = ((g * scale) * cor) * active                  # the incorrect rows
+            g_side = np.zeros((n, 1))    # a row without pairs: numpy sums its zeros to +0.0
+            g_side[rows] = _column_sum(g_rows)
+            g_side += (-_row_sum(g_rows)).T
             parts.append(g_side * select)
         return parts
 
@@ -472,10 +538,15 @@ def mmce_loss(batch: BatchView, kernel_width: float) -> Term:
     Quadratic forms over the kernel matrix: incorrect pairs weighted r_i r_j,
     correct pairs weighted (1 - r_i)(1 - r_j), minus twice the cross term,
     each normalized by its own pair count. Missing sides contribute 0.
+
+    The kernel is built in place, and the VJP forms its outer products by
+    broadcasting, summing and scaling them in two n x n buffers.
     """
     r = batch.r()
     dist = r - r.T
-    k = np.exp(np.abs(dist) * (-1.0 / kernel_width))     # (n, n)
+    k = np.abs(dist)
+    k *= -1.0 / kernel_width
+    np.exp(k, out=k)                                     # (n, n) kernel
     cor = batch.correct.astype(np.float64)[:, None]
     inc = 1.0 - cor
     m = cor.sum()
@@ -497,26 +568,32 @@ def mmce_loss(batch: BatchView, kernel_width: float) -> Term:
 
     def vjp(g):
         g_total = (g * 0.5 * np.maximum(clipped, EPS) ** (0.5 - 1.0)) * (total > 0)
-        # the kernel and r gather cotangents from up to three quadratic forms
-        g_k, g_r = [], []
+        # the kernel and r gather cotangents from up to three quadratic forms;
+        # the kernel's are outer products, kept as (column, row) factors
+        outers, g_r = [], []
         if n_inc > 0:
             g_s = g_total * (1.0 / n_inc ** 2)
             g_ku = g_s * u
-            g_k.append(g_ku @ u.T)
+            outers.append((g_ku, u))
             g_r.append(((g_s * ku) + k.T @ g_ku) * inc)
         if m > 0:
             g_s = g_total * (1.0 / m ** 2)
             g_kv = g_s * v
-            g_k.append(g_kv @ v.T)
+            outers.append((g_kv, v))
             g_r.append(-(((g_s * kv) + k.T @ g_kv) * cor))
         if m > 0 and n_inc > 0:
             g_s = g_total * (-2.0 / (m * n_inc))
             g_kuu = g_s * v
-            g_k.append(g_kuu @ u.T)
+            outers.append((g_kuu, u))
             g_r.append(-((g_s * ku) * cor))
             g_r.append((k.T @ g_kuu) * inc)
-        g_dist = ((_in_order(g_k) * k) * (-1.0 / kernel_width)) * np.sign(dist)
-        via_kernel = [_column_sum(g_dist), (-_row_sum(g_dist)).T]
+        g_k = _outer_sum(outers)
+        g_k *= k
+        g_k *= -1.0 / kernel_width
+        # dist is read nowhere else, so its sign may overwrite it (sign is
+        # idempotent: a second call finds the same values)
+        g_k *= np.sign(dist, out=dist)                   # the cotangent of r_i - r_j
+        via_kernel = [_column_sum(g_k), (-_row_sum(g_k)).T]
         # the graph delivers r's parts through the kernel first when it holds
         # one form, and just before the cross form's u part when it holds three
         if len(g_r) == 4:

@@ -74,19 +74,27 @@ class ForwardResult:
 # ---------------------------------------------------------------------------
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one
+    exp(-|x|), so neither branch can overflow."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def _softmax_values(x: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis; rows sum to 1 within 1e-12."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _binary_softmax(x: np.ndarray) -> np.ndarray:
+    """Row softmax of an (n, 2) array, from its two columns: the bits of
+    the max-shifted softmax reduced over the last axis, without reductions
+    over a 2-wide axis."""
+    e = np.exp(x - np.maximum(x[:, :1], x[:, 1:]))
+    return e / (e[:, :1] + e[:, 1:])
+
+
+def _binary_softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The cotangent of ``_binary_softmax``'s input, s * (g - <g, s>). The
+    dot adds the two columns to +0.0, as numpy's sum does, so two -0.0
+    products give +0.0, the bits ``(g * s).sum(axis=-1)`` gives."""
+    dot = (0.0 + g[:, :1] * s[:, :1]) + g[:, 1:] * s[:, 1:]
+    return s * (g - dot)
 
 
 def _affine(a: np.ndarray, w: Param, b: Param) -> np.ndarray:
@@ -190,7 +198,7 @@ class VaeClassifier:
     def _classify(self, z: np.ndarray):
         p = self.params
         h = _tanh_affine(z, p["clf.w1"], p["clf.b1"], "clf.hidden")
-        probs = _softmax_values(_affine(h, p["clf.w2"], p["clf.b2"]))
+        probs = _binary_softmax(_affine(h, p["clf.w2"], p["clf.b2"]))
         _check_finite("clf.out", probs)
         return h, probs
 
@@ -231,9 +239,8 @@ class VaeClassifier:
         from_decoder = _affine_backward(_tanh_backward(g_hd, hd), z, p["dec.w1"], p["dec.b1"])
         from_classifier = None
         if g_probs is not None:
-            probs = result.probs
-            dot = (g_probs * probs).sum(axis=-1, keepdims=True)
-            g_hc = _affine_backward(probs * (g_probs - dot), hc, p["clf.w2"], p["clf.b2"])
+            g_hc = _affine_backward(_binary_softmax_backward(g_probs, result.probs), hc,
+                                    p["clf.w2"], p["clf.b2"])
             from_classifier = _affine_backward(_tanh_backward(g_hc, hc), z,
                                                p["clf.w1"], p["clf.b1"])
 

@@ -22,7 +22,7 @@ import numpy as np
 from calibtrain.autodiff import Param, ShapeMismatch
 from calibtrain.data import Subset
 from calibtrain.losses import EPS, BatchView, confidence_weights, make_batch_view
-from calibtrain.model import LOGVAR_MAX, LOGVAR_MIN, _sigmoid_values, _softmax_values
+from calibtrain.model import LOGVAR_MAX, LOGVAR_MIN
 
 FD_STEP = 1e-5
 
@@ -609,8 +609,33 @@ def absolute(a: Node) -> Node:
                 vjps=(lambda g: g * sign,))
 
 
+def ref_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The package's former sigmoid: the two overflow-safe branches computed
+    on boolean-mask gathers and scattered back."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_softmax(x: np.ndarray) -> np.ndarray:
+    """Row softmax by reductions over the last axis, as the package computed
+    the classifier head before it took the head's two columns apart."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s * (g - <g, s>), the dot reduced over the last axis."""
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    return s * (g - dot)
+
+
 def sigmoid(a: Node) -> Node:
-    s = _sigmoid_values(a.value)
+    s = ref_sigmoid(a.value)
     return Node(s, op="sigmoid", parents=(a,), vjps=(lambda g: g * s * (1.0 - s),))
 
 
@@ -652,13 +677,8 @@ def power(a: Node, exponent: float) -> Node:
 
 def softmax(a: Node) -> Node:
     """Row softmax over the last axis; rows sum to 1 within 1e-12."""
-    s = _softmax_values(a.value)
-
-    def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return s * (g - dot)
-
-    return Node(s, op="softmax", parents=(a,), vjps=(vjp,))
+    s = ref_softmax(a.value)
+    return Node(s, op="softmax", parents=(a,), vjps=(lambda g: ref_softmax_backward(g, s),))
 
 
 def _spread(g: np.ndarray, shape: tuple) -> np.ndarray:

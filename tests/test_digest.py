@@ -1,4 +1,4 @@
-"""Pinned report digests: two fixed suites must reproduce their reports
+"""Pinned report digests: three fixed suites must reproduce their reports
 byte for byte.
 
 The first pins were taken before the VAE layers moved from the autodiff
@@ -7,6 +7,8 @@ refactor changed no byte of the reports. The second set is the seed-0
 reference suite of ``bench/README.md`` at the default sizes, copied from
 there: its 2,000-row test split shows last-bit changes that the small
 suite's 200 rows can miss, such as a Brier score summed in another order.
+The third trains AvUC alone past its warm-up, since the other two stop
+before the threshold leaves 1.0.
 Any later change that moves a number must re-pin here and say why. The pins
 hold for float64 numpy on x86-64; another BLAS may round matrix products
 differently.
@@ -179,6 +181,24 @@ REFERENCE_PINS = {
 }
 
 
+# AvUC alone for two epochs past its warm-up (AVUC_WARMUP_EPOCHS = 3), the
+# only pins that read the threshold training derives from accurate entropies
+AVUC_CONFIG = dict(sizes=(400, 200, 200), epochs=5, seeds=[0], data_seed=0,
+                   suite=[{"strategy": "avuc", "lambda_n": 0.2}])
+
+# the run's history and metric CSVs
+AVUC_PINS = {
+    "history/avuc_seed0.csv":
+        "96bcd79ac76db0afa4dd17ccce413940d1e39ae6dfe9e397df42bfb8a854b14f",
+    "metrics_aleatoric.csv":
+        "af6afffbaa318ac8cd8ae6d661a33968bc7a23027c68716dfc9f9cb5386f934f",
+    "metrics_epistemic.csv":
+        "32e5f34d643b5f24ff1002af27858e299eab06ec49e2d9c7d1e4f5b90bd26e05",
+    "metrics_softmax.csv":
+        "05a2ffcac0b1de30d3ecf44880f34f462b895d0646ca2845223829e07a9662d0",
+}
+
+
 def test_report_csvs_match_pins(tmp_path):
     result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **DIGEST_CONFIG))
     assert result.ok
@@ -194,3 +214,11 @@ def test_reference_suite_matches_bench_digests(tmp_path):
            for p in sorted(result.out_dir.rglob("*"))
            if p.is_file() and p.name != "manifest.json"}
     assert got == REFERENCE_PINS
+
+
+def test_avuc_past_warmup_matches_pins(tmp_path):
+    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **AVUC_CONFIG))
+    assert result.ok
+    got = {name: hashlib.sha256((result.out_dir / name).read_bytes()).hexdigest()
+           for name in AVUC_PINS}
+    assert got == AVUC_PINS

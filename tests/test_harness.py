@@ -94,6 +94,24 @@ def test_config_json_round_trip(tmp_path):
     dict(d=0),
     dict(hidden=0),
     dict(latent=-1),
+    # values of the wrong JSON type
+    dict(epochs="3"),
+    dict(epochs=True),
+    dict(seeds=[0.5, 1.5]),
+    dict(seeds=0),
+    dict(sizes=[400.7, 200, 200]),
+    dict(sizes="abc"),
+    dict(d=8.5),
+    dict(separation="2"),
+    dict(lr_vae=None),
+    dict(loss={"strategy": ["avuc"]}),
+    dict(loss={"strategy": "soft_ece", "n_bins": 15.5}),
+    dict(loss={"strategy": "soft_ece", "n_bins": True}),
+    dict(loss={"strategy": "mmce", "kernel_width": "0.4"}),
+    dict(loss=["baseline"]),
+    dict(suite=[{"strategy": "baseline"}, "mmce"]),
+    dict(grid={"lambda_n": 0.5}),
+    dict(grid={"lambda_n": [0.5, "1"]}),
 ])
 def test_config_rejects_bad_values(bad):
     kw = dict(TINY)
@@ -622,10 +640,20 @@ def test_cli_bad_inputs(tmp_path, capsys):
     (["train", "--set", 'loss={"strategy": "avuc", "avuc_threshold": 0.5}'], "avuc_threshold"),
     (["grid", "--strategy", "avuc", "--set", 'grid={"avuc_threshold": [0.2, 0.9]}'],
      "avuc_threshold"),
+    # values of the wrong JSON type
+    (["train", "--set", 'epochs="3"'], "epochs must be an integer, got '3'"),
+    (["train", "--set", "epochs=true"], "epochs must be an integer, got True"),
+    (["train", "--set", 'loss={"strategy": ["avuc"]}'], "must name a strategy as a string"),
+    (["suite", "--set", "seeds=[0.5, 1.5]"], "seeds must be an integer, got 0.5"),
+    (["suite", "--set", "sizes=[400.7, 200, 200]"], "sizes must be an integer, got 400.7"),
+    (["train", "--set", 'loss={"strategy": "soft_ece", "n_bins": 15.5}'],
+     "n_bins must be an integer, got 15.5"),
 ])
 def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     out = tmp_path / "run"
-    assert main(argv + ["--out", str(out), "--epochs", "1"]) == 2
+    # one epoch keeps a wrongly accepted config short, unless epochs is the case
+    epochs = [] if any(arg.startswith("epochs=") for arg in argv) else ["--epochs", "1"]
+    assert main(argv + ["--out", str(out), *epochs]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and problem in err[0]
     assert not out.exists()

@@ -11,6 +11,9 @@ from calibtrain.model import (
     LOGVAR_MIN,
     NonFiniteActivation,
     VaeClassifier,
+    _binary_softmax,
+    _binary_softmax_backward,
+    _sigmoid_values,
     load_checkpoint,
     save_checkpoint,
 )
@@ -111,6 +114,53 @@ def test_numpy_path_matches_graph_path_bitwise():
     assert np.array_equal(lv, res.logvar_z)
     assert np.array_equal(m.classify_values(mu), res.probs)
     assert np.array_equal(graph_vae_forward(m, x).xhat.value, res.xhat)
+
+
+# -- the branch-free sigmoid and the binary head against their references ------
+
+# signed zeros, subnormals, exp's overflow and underflow edges and |x| = 800
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0,
+                  36.7, -36.7, 709.5, -709.5, 745.2, -745.2, 800.0, -800.0,
+                  np.inf, -np.inf])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sigmoid_matches_masked_reference_bitwise():
+    rng = np.random.default_rng(20)
+    for x in (EDGES, rng.standard_normal((40, 8)) * 10.0,
+              rng.uniform(-800.0, 800.0, (25, 8)), np.array([-0.0])):
+        assert_same_bits(_sigmoid_values(x), oracles.ref_sigmoid(x))
+
+
+def test_binary_softmax_matches_reduction_reference_bitwise():
+    # every ordered pair of edge values (the infinities aside, which no
+    # finite logit reaches): ties, ±0 against ±0 and gaps of up to 1600
+    finite = EDGES[np.isfinite(EDGES)]
+    pairs = np.array([(a, b) for a in finite for b in finite])
+    rng = np.random.default_rng(21)
+    for x in (pairs, rng.standard_normal((250, 2)) * 30.0, np.zeros((3, 2))):
+        assert_same_bits(_binary_softmax(x), oracles.ref_softmax(x))
+
+
+def test_binary_softmax_backward_matches_reduction_reference_bitwise():
+    # cotangents with signed zeros in either column or both, against saturated
+    # and tied probabilities; -0.0 * s in both columns must sum to +0.0
+    cot = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-310, -1e-310]
+    probs = _binary_softmax(np.array([[0.0, 0.0], [0.0, -0.0], [3.0, -1.0], [800.0, -800.0],
+                                      [-800.0, 800.0], [0.1, 0.2]]))
+    g = np.array([(a, b) for a in cot for b in cot for _ in probs])
+    s = np.tile(probs, (len(cot) ** 2, 1))
+    assert_same_bits(_binary_softmax_backward(g, s), oracles.ref_softmax_backward(g, s))
+    rng = np.random.default_rng(22)
+    s = _binary_softmax(rng.standard_normal((250, 2)) * 5.0)
+    g = rng.standard_normal((250, 2)) * (rng.random((250, 2)) < 0.7)   # some zeros
+    assert_same_bits(_binary_softmax_backward(g, s), oracles.ref_softmax_backward(g, s))
+    assert_same_bits(_binary_softmax_backward(-g, s), oracles.ref_softmax_backward(-g, s))
 
 
 @pytest.fixture(scope="module")
