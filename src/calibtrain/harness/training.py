@@ -3,8 +3,8 @@
 Randomness is split into named substreams of the run seed so strategies stay
 trajectory-comparable: (seed, 0) parameter init, (seed, 1) batch shuffling
 and latent draws, (seed, 2, epoch, batch) the epistemic votes consumed only
-by the confidence-weight strategy. Substreams (seed, 3) and (seed, 4) are
-reserved for test-time epistemic/aleatoric estimation.
+by the confidence-weight strategy. The streams (seed, 3) and (seed, 4) are
+reserved for test-time epistemic/aleatoric votes, one Generator per call.
 
 The history keeps the full per-epoch metric curve; parameters are retained
 only for the best epoch under each selection criterion (strict improvement,

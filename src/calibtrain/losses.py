@@ -180,7 +180,7 @@ class Loss:
     value: np.float64
     schedule: Callable[[], None]
     backward_done: bool = False
-    parents = ()   # walked by bench/spans.count_graph_nodes until ROADMAP item 2 retires it
+    parents = ()   # walked by bench/spans.count_graph_nodes until ROADMAP item 1 retires it
 
 
 _ZERO = Term(np.float64(0.0), lambda g: [])   # a degenerate batch: no gradient

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
+from calibtrain import uncertainty
 from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
     KINDS,
     VOTE_ROWS,
-    Substreams,
     UncertaintyEstimate,
     aleatoric,
     epistemic,
     epistemic_batch,
-    pcg64_states,
     predictions_from_shares,
-    seed_words,
     uncertainty_records,
 )
 from oracles import perturb
@@ -182,15 +180,17 @@ def test_uncertainty_records_full_split():
     for kind in KINDS:
         with pytest.raises(ValueError, match="need at least one pass"):
             uncertainty_records(m, split, kind, n=0)
+    with pytest.raises(ValueError):   # default_rng rejects a negative seed word
+        uncertainty_records(m, split, "epistemic", n=3, base_seed=(-1, 3))
 
 
 # -- chunked records against per-sample loops ---------------------------------------
 
 def per_sample_records(model, split, kind, scaler, n, sigma, base_seed):
-    """The single-sample estimators, one substream per test sample."""
+    """The single-sample estimators, reading one stream in sample order."""
+    rng = np.random.default_rng(base_seed)
     shares = []
-    for i, x in enumerate(split.test.x):
-        rng = np.random.default_rng(base_seed + (i,))
+    for x in split.test.x:
         if kind == "epistemic":
             x = x if scaler is None else scaler.transform(x[None, :])[0]
             est = epistemic(model, x, n=n, rng=rng)
@@ -203,11 +203,11 @@ def per_sample_records(model, split, kind, scaler, n, sigma, base_seed):
 def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
     """Positive-vote shares from one forward pass per sample, sharing no code
     with the vote kernel: latent draws of shape (n - 1, latent), and n - 1
-    separate ``perturb`` calls for the noisy inputs."""
+    separate ``perturb`` calls for the noisy inputs, all from one stream."""
+    rng = np.random.default_rng(base_seed)
     shares = []
     for i in range(len(split.test)):
         sample = split.test.take(slice(i, i + 1))
-        rng = np.random.default_rng(base_seed + (i,))
         if kind == "epistemic":
             x = sample.x if scaler is None else scaler.transform(sample.x)
             mu, lv = model.encode_values(x)
@@ -248,56 +248,19 @@ def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
         assert any(0.0 < c < 1.0 for c in shares)   # the draws reached the votes
 
 
-# -- vectorised substream seeding against NumPy ---------------------------------------
-
-# the last key has five entropy words before i, so it reaches the hash's tail loop
-SEED_KEYS = [(0, 3), (7, 4), (2**32 + 5, 3), (2**64 + 1, 2**40, 3)]
-SEED_IDS = [0, 1, 127, 2**32 - 1]
-
-
-@pytest.mark.parametrize("key", SEED_KEYS)
-def test_seed_words_match_seed_sequence(key):
-    got = seed_words(key, SEED_IDS)
-    assert got.dtype == np.uint64 and got.shape == (len(SEED_IDS), 4)
-    for i, words in zip(SEED_IDS, got):
-        want = np.random.SeedSequence(key + (i,)).generate_state(4, np.uint64)
-        assert np.array_equal(words, want)
-    assert seed_words(key, []).shape == (0, 4)
-
-
-@pytest.mark.parametrize("key", SEED_KEYS)
-def test_pcg64_states_match_numpy(key):
-    rows = pcg64_states(seed_words(key, SEED_IDS)).tolist()
-    for i, (s_hi, s_lo, i_hi, i_lo) in zip(SEED_IDS, rows):
-        want = np.random.PCG64(key + (i,)).state["state"]
-        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (want["state"], want["inc"])
-
-
-@pytest.mark.parametrize("key", SEED_KEYS)
-@pytest.mark.parametrize("shape", [(19, 8), (4, 2)])
-def test_substreams_draw_the_default_rng_streams(key, shape):
-    streams = Substreams(key, SEED_IDS)
-    out = streams.standard_normal(0, np.empty((len(SEED_IDS),) + shape))
-    for i, draw in zip(SEED_IDS, out):
-        assert np.array_equal(draw, np.random.default_rng(key + (i,)).standard_normal(shape))
-    # a later window reads the same streams again from their start
-    tail = streams.standard_normal(2, np.empty((2,) + shape))
-    assert np.array_equal(tail, out[2:])
-    assert Substreams(key, []).standard_normal(0, np.empty((0,) + shape)).shape == (0,) + shape
-
-
-def test_seeding_rejects_words_numpy_rejects():
-    with pytest.raises(ValueError):
-        np.random.SeedSequence((-1, 3, 0))
-    with pytest.raises(ValueError):
-        seed_words((-1, 3), [0])
-    with pytest.raises(ValueError):
-        seed_words((0, 3), [-1])
-    with pytest.raises(ValueError):
-        seed_words((0, 3), [2**32])     # ids must stay one entropy word
-    split = generate_gaussian_mixture(sizes=(30, 10, 5), d=2, seed=3)
-    with pytest.raises(ValueError):
-        uncertainty_records(sign_model(), split, "epistemic", n=3, base_seed=(-1, 3))
+@pytest.mark.parametrize("kind", KINDS)
+def test_uncertainty_records_do_not_depend_on_vote_rows(kind, monkeypatch):
+    split = generate_gaussian_mixture(sizes=(30, 10, 300), d=2, separation=1.0, seed=7)
+    m = sign_model()
+    m.params["enc.b_lv"].value[:] = -1.0
+    runs = []
+    for rows in (1, 7, 512):
+        monkeypatch.setattr(uncertainty, "VOTE_ROWS", rows)
+        runs.append(uncertainty_records(m, split, kind, n=5, sigma=0.7, base_seed=(2, 3)))
+    for got in runs[1:]:
+        for field in ("conf", "predicted", "g", "correct", "probs"):
+            assert np.array_equal(getattr(got, field), getattr(runs[0], field))
+    assert np.any((runs[0].conf > 0.5) & (runs[0].conf < 1.0))   # the draws split votes
 
 
 def test_uncertainty_records_seed_without_a_generator_per_sample(monkeypatch):
