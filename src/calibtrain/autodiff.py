@@ -8,9 +8,10 @@ order and adds the results into the parameter gradients. Everything is
 float64 and single-threaded, so identical seeds give bitwise-identical
 trajectories.
 
-Trainable values live in a :class:`ParamSet`: one contiguous float64 buffer
-with a named view per parameter, and a gradient buffer of the same layout,
-so :class:`Adam` updates every parameter with a handful of vector ops.
+Trainable values live in a :class:`ParamSet`, laid out once from one ordered
+mapping: one contiguous float64 buffer with a named view per parameter, and a
+gradient buffer of the same layout, so :class:`Adam` updates every parameter
+with a handful of vector ops.
 """
 
 from __future__ import annotations
@@ -85,47 +86,29 @@ def _conforming(new, shape: tuple, what: str) -> np.ndarray:
 
 
 class ParamSet:
-    """Named trainable arrays with deterministic iteration order.
+    """Named trainable arrays, laid out once, in the order of one mapping.
 
-    Values live in one contiguous float64 buffer, ``flat``, in insertion
-    order; gradients in ``grad``, with the same layout. The layers' backward
-    passes add their parameter gradients straight into ``grad``. Adding a
-    parameter reallocates both buffers, so build the optimiser last.
+    ``ParamSet(values)`` concatenates the mapping's arrays into one
+    contiguous float64 buffer, ``flat``, and makes each name's views once;
+    gradients live in ``grad``, with the same layout. The layers' backward
+    passes add their parameter gradients straight into ``grad``.
     """
 
-    def __init__(self):
+    def __init__(self, values: dict[str, np.ndarray]):
+        arrays = {name: _as_array(value) for name, value in values.items()}
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
+        self.grad = np.zeros_like(self.flat)
         self._params: dict[str, Param] = {}
         self._slices: dict[str, slice] = {}
-        self._shapes: dict[str, tuple] = {}
-        self.flat = np.zeros(0)
-        self.grad = np.zeros(0)
-
-    def add(self, name: str, value) -> Param:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        value = _as_array(value)
-        start = self.flat.size
-        self._slices[name] = slice(start, start + value.size)
-        self._shapes[name] = value.shape
-        self.flat = np.concatenate([self.flat, value.ravel()])
-        self.grad = np.concatenate([self.grad, np.zeros(value.size)])
-        for key, span in self._slices.items():
-            shape = self._shapes[key]
-            views = self.flat[span].reshape(shape), self.grad[span].reshape(shape)
-            if key in self._params:
-                self._params[key]._value, self._params[key]._grad = views
-            else:
-                self._params[key] = Param(*views)
-        return self._params[name]
+        start = 0
+        for name, a in arrays.items():
+            span = self._slices[name] = slice(start, start + a.size)
+            self._params[name] = Param(self.flat[span].reshape(a.shape),
+                                       self.grad[span].reshape(a.shape))
+            start = span.stop
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -143,7 +126,8 @@ class ParamSet:
     def copy_values(self) -> dict[str, np.ndarray]:
         """A snapshot: views into one copy of the value buffer."""
         flat = self.flat.copy()
-        return {k: flat[span].reshape(self._shapes[k]) for k, span in self._slices.items()}
+        return {k: flat[span].reshape(self._params[k].value.shape)
+                for k, span in self._slices.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for k, param in self._params.items():
@@ -156,8 +140,11 @@ class ParamSet:
         self.zero_grad()
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
+
+
 class Adam:
-    """Adam update (beta1=0.9, beta2=0.999, eps=1e-8); zeroes grads after a step.
+    """Adam update (``BETA1``, ``BETA2``, ``EPS``); zeroes grads after a step.
 
     ``lr_overrides`` maps parameter-name prefixes to rates; the longest
     matching prefix wins, so heads of one model can train at different speeds.
@@ -167,13 +154,9 @@ class Adam:
     """
 
     def __init__(self, params: ParamSet, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  lr_overrides: dict[str, float] | None = None):
         self.params = params
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.lr_overrides = dict(lr_overrides or {})
         self.t = 0
         self._m = np.zeros_like(params.flat)
@@ -197,14 +180,14 @@ class Adam:
             name = next(k for k, span in self.params.slices() if span.start <= bad < span.stop)
             raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        self.params.flat -= self._rates * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.params.flat -= self._rates * m_hat / (np.sqrt(v_hat) + EPS)
         self.params.zero_grad()

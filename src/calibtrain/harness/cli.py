@@ -135,9 +135,19 @@ def cmd_suite(args) -> int:
     return 0 if result.ok else 1
 
 
-def _print_table(path: Path) -> None:
-    lines = path.read_text().splitlines()
-    table = [line.split(",") for line in lines]
+def _read_table(path: Path) -> list[list[str]]:
+    """A report CSV's rows of cells; ValueError names the file."""
+    table = [line.split(",") for line in path.read_text().splitlines()]
+    if not table:
+        raise ValueError(f"{path}: empty, not even a header")
+    for row, cells in enumerate(table[1:], start=2):
+        if len(cells) != len(table[0]):
+            raise ValueError(f"{path}: line {row} has {len(cells)} columns, "
+                             f"expected {len(table[0])}")
+    return table
+
+
+def _print_table(table: list[list[str]]) -> None:
     # shorten float cells for display; the CSV keeps full precision
     shown = []
     for row in table:
@@ -168,16 +178,18 @@ def cmd_report(args) -> int:
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed manifest {manifest_path}: "
                          f"{type(err).__name__}: {err}") from None
+    # read every table before printing any, so a bad table prints nothing
+    names = ("metrics_softmax", "metrics_epistemic", "metrics_aleatoric",
+             "selection_comparison", "mcnemar_vs_baseline")
+    tables = [(name, _read_table(run / f"{name}.csv")) for name in names
+              if (run / f"{name}.csv").exists()]
     print(header)
     if failed:
         print(f"{len(failed)} failed cell(s):")
         print("\n".join(failed))
-    for name in ("metrics_softmax", "metrics_epistemic", "metrics_aleatoric",
-                 "selection_comparison", "mcnemar_vs_baseline"):
-        path = run / f"{name}.csv"
-        if path.exists():
-            print(f"\n{name}")
-            _print_table(path)
+    for name, table in tables:
+        print(f"\n{name}")
+        _print_table(table)
     return 0
 
 

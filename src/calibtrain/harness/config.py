@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
+        if not self.suite:
+            raise ValueError("suite list must be nonempty")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
@@ -121,6 +123,10 @@ class ExperimentConfig:
         base = LossSpec.from_dict(dict(self.loss))
         for entry in self.suite:
             LossSpec.from_dict(dict(entry))
+        # cells and report files are keyed by strategy: a repeat would overwrite them
+        strategies = [entry["strategy"] for entry in self.suite]
+        if len(set(strategies)) != len(strategies):
+            raise ValueError(f"suite strategies must be distinct, got {strategies}")
         loss_fields = set(LossSpec.__dataclass_fields__)
         for key, candidates in self.grid.items():
             if key not in loss_fields:

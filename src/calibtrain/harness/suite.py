@@ -90,13 +90,13 @@ def generate_split(config: ExperimentConfig) -> DataSplit:
         seed=config.data_seed)
 
 
-def metric_row(preds: Predictions, m: int = 15) -> dict:
+def metric_row(preds: Predictions) -> dict:
     cls = classification_metrics(preds)
     return {
-        "ece": ece(preds, m),
-        "aece": aece(preds, m),
-        "oe": oe(preds, m),
-        "mce": mce(preds, m),
+        "ece": ece(preds),
+        "aece": aece(preds),
+        "oe": oe(preds),
+        "mce": mce(preds),
         "bs": brier(preds),
         "sen": cls["sensitivity"],
         "spe": cls["specificity"],
@@ -231,19 +231,11 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
 # report emission
 # ---------------------------------------------------------------------------
 
-def _strategy_order(config: ExperimentConfig) -> list[str]:
-    seen = []
-    for entry in config.suite:
-        if entry["strategy"] not in seen:
-            seen.append(entry["strategy"])
-    return seen
-
-
 def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path) -> None:
     # a manifest marks a complete run directory: drop an earlier run's before
     # writing any report, and write this run's after every report
     (out / "manifest.json").unlink(missing_ok=True)
-    strategies = _strategy_order(config)
+    strategies = [entry["strategy"] for entry in config.suite]
     written: list[Path] = []          # the manifest lists these, not what else is in ``out``
 
     def report(path: Path, header: list[str], rows: list[list]) -> None:
@@ -268,7 +260,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
                     vals = []
                     for seed in config.seeds:
                         cell = by_key[(strategy, seed)]
-                        if cell.failed or criterion not in cell.metrics:
+                        if cell.failed:
                             continue
                         vals.append(cell.metrics[criterion][mode][col])
                     mean, std = _aggregate(vals)
@@ -286,7 +278,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             cell = by_key[(strategy, seed)]
             row = [strategy, seed]
             for criterion in CRITERIA:
-                if cell.failed or criterion not in cell.metrics:
+                if cell.failed:
                     row.extend([None, None, None])
                 else:
                     m = cell.metrics[criterion]["softmax"]
@@ -307,9 +299,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             for seed in config.seeds:
                 base = by_key[("baseline", seed)]
                 cell = by_key[(strategy, seed)]
-                if (base.failed or cell.failed
-                        or config.criterion not in base.test_records
-                        or config.criterion not in cell.test_records):
+                if base.failed or cell.failed:
                     rows.append([strategy, seed, None, None, None, None])
                     continue
                 test = mcnemar(base.test_records[config.criterion],
@@ -324,9 +314,9 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
     rel_dir.mkdir(exist_ok=True)
     for strategy in strategies:
         cell = by_key[(strategy, config.seeds[0])]
-        records = cell.test_records.get(config.criterion)
-        if records is None:
+        if cell.failed:
             continue
+        records = cell.test_records[config.criterion]
         for scheme in ("equal_width", "adaptive"):
             table = reliability_table(records, scheme, 15)
             rows = [[r[col] for col in RELIABILITY_COLUMNS] for r in table.rows()]

@@ -147,8 +147,8 @@ def aece(preds: Predictions, m: int = 15) -> float:
     return _ece_of(reliability_table(preds, "adaptive", m))
 
 
-def mce(preds: Predictions, m: int = 15, scheme: str = "equal_width") -> float:
-    table = reliability_table(preds, scheme, m)
+def mce(preds: Predictions, m: int = 15) -> float:
+    table = reliability_table(preds, "equal_width", m)
     worst = 0.0
     for b in table.bins:
         if b.count:
@@ -156,9 +156,9 @@ def mce(preds: Predictions, m: int = 15, scheme: str = "equal_width") -> float:
     return worst
 
 
-def oe(preds: Predictions, m: int = 15, scheme: str = "equal_width") -> float:
+def oe(preds: Predictions, m: int = 15) -> float:
     """Overconfidence error: confidence-weighted hinge on conf - acc per bin."""
-    table = reliability_table(preds, scheme, m)
+    table = reliability_table(preds, "equal_width", m)
     total = 0.0
     for b in table.bins:
         if b.count:

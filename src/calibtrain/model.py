@@ -158,22 +158,23 @@ class VaeClassifier:
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             return rng.standard_normal((fan_in, fan_out)) * scale
 
-        p = ParamSet()
-        p.add("enc.w1", glorot(d, hidden))
-        p.add("enc.b1", np.zeros(hidden))
-        p.add("enc.w_mu", glorot(hidden, latent))
-        p.add("enc.b_mu", np.zeros(latent))
-        p.add("enc.w_lv", glorot(hidden, latent))
-        p.add("enc.b_lv", np.zeros(latent))
-        p.add("dec.w1", glorot(latent, hidden))
-        p.add("dec.b1", np.zeros(hidden))
-        p.add("dec.w2", glorot(hidden, d))
-        p.add("dec.b2", np.zeros(d))
-        p.add("clf.w1", glorot(latent, hidden))
-        p.add("clf.b1", np.zeros(hidden))
-        p.add("clf.w2", np.zeros((hidden, 2)))
-        p.add("clf.b2", np.zeros(2))
-        self.params = p
+        # a dict literal is evaluated left to right, so the draws keep this order
+        self.params = ParamSet({
+            "enc.w1": glorot(d, hidden),
+            "enc.b1": np.zeros(hidden),
+            "enc.w_mu": glorot(hidden, latent),
+            "enc.b_mu": np.zeros(latent),
+            "enc.w_lv": glorot(hidden, latent),
+            "enc.b_lv": np.zeros(latent),
+            "dec.w1": glorot(latent, hidden),
+            "dec.b1": np.zeros(hidden),
+            "dec.w2": glorot(hidden, d),
+            "dec.b2": np.zeros(d),
+            "clf.w1": glorot(latent, hidden),
+            "clf.b1": np.zeros(hidden),
+            "clf.w2": np.zeros((hidden, 2)),
+            "clf.b2": np.zeros(2),
+        })
 
     # -- layer stacks -------------------------------------------------------
 
@@ -301,17 +302,22 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _layout(params: ParamSet) -> dict:
+    """The parameter buffer's layout, as a checkpoint manifest records it."""
+    order = params.names()
+    return {"param_order": order,
+            "param_shapes": {n: list(params[n].value.shape) for n in order}}
+
+
 def save_checkpoint(model: VaeClassifier, out_dir: str | Path, epoch: int,
                     extra: dict | None = None) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    order = model.params.names()
     manifest = {
         "dims": {"d": model.d, "hidden": model.hidden, "latent": model.latent},
         "epoch": int(epoch),
         "seed": model.seed,
-        "param_order": order,
-        "param_shapes": {n: list(model.params[n].value.shape) for n in order},
+        **_layout(model.params),
     }
     if extra:
         manifest["extra"] = extra
@@ -323,23 +329,21 @@ def save_checkpoint(model: VaeClassifier, out_dir: str | Path, epoch: int,
 
 
 def load_checkpoint(in_dir: str | Path) -> tuple[VaeClassifier, dict]:
+    """A checkpoint's model and manifest. The manifest must give the layout of
+    a model of its dims, whose parameter buffer the blob then fills."""
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
     dims = manifest["dims"]
     model = VaeClassifier(d=dims["d"], hidden=dims["hidden"], latent=dims["latent"],
                           seed=manifest["seed"])
-    shapes = [tuple(manifest["param_shapes"][name]) for name in manifest["param_order"]]
-    expected = sum(int(np.prod(shape)) for shape in shapes)
+    for key, value in _layout(model.params).items():
+        if manifest.get(key) != value:
+            raise ValueError(f"checkpoint {src}: the manifest's {key} is not the layout "
+                             f"of a model with dims {dims}")
+    expected = model.params.flat.size
     raw = (src / "params.bin").read_bytes()
     if len(raw) != 8 * expected:
         raise ValueError(f"parameter blob {src / 'params.bin'} holds {len(raw) / 8:g} "
                          f"float64 values, manifest declares {expected}")
-    flat = np.frombuffer(raw, dtype="<f8")
-    values = {}
-    pos = 0
-    for name, shape in zip(manifest["param_order"], shapes):
-        size = int(np.prod(shape))
-        values[name] = flat[pos:pos + size].reshape(shape).copy()
-        pos += size
-    model.params.load_values(values)
+    model.params.flat[:] = np.frombuffer(raw, dtype="<f8")
     return model, manifest

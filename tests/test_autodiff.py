@@ -147,16 +147,16 @@ def test_grad_shape_equals_value_shape():
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        ps = ad.ParamSet()
-        w = ps.add("w", np.array([1.0, -2.0]))
+        ps = ad.ParamSet({"w": np.array([1.0, -2.0])})
+        w = ps["w"]
         opt = ad.Adam(ps, lr=0.1)
         opt.step()
         assert np.array_equal(w.value, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # closed form at t=1 with g=1: delta = lr * 1 / (1 + eps_adam)
-        ps = ad.ParamSet()
-        w = ps.add("w", np.array(5.0))
+        ps = ad.ParamSet({"w": np.array(5.0)})
+        w = ps["w"]
         opt = ad.Adam(ps, lr=0.1)
         w.grad = np.array(1.0)
         opt.step()
@@ -165,8 +165,8 @@ class TestAdam:
         assert w.grad == 0.0  # zeroed after the step
 
     def test_identical_gradients_decrease_monotonically(self):
-        ps = ad.ParamSet()
-        w = ps.add("w", np.array(1.0))
+        ps = ad.ParamSet({"w": np.array(1.0)})
+        w = ps["w"]
         opt = ad.Adam(ps, lr=0.05)
         prev = float(w.value)
         for _ in range(5):
@@ -177,10 +177,8 @@ class TestAdam:
 
     def test_non_finite_gradient_names_parameter(self):
         for name in ("enc.w1", "enc.b1", "clf.w2"):
-            ps = ad.ParamSet()
-            ps.add("enc.w1", np.ones(2))
-            ps.add("enc.b1", np.ones(3))
-            ps.add("clf.w2", np.ones((2, 2)))
+            ps = ad.ParamSet({"enc.w1": np.ones(2), "enc.b1": np.ones(3),
+                              "clf.w2": np.ones((2, 2))})
             opt = ad.Adam(ps)
             bad = np.ones(ps[name].value.shape)
             bad.flat[-1] = np.nan if name != "enc.b1" else -np.inf
@@ -191,9 +189,8 @@ class TestAdam:
             assert np.array_equal(ps.flat, np.ones(9))   # nothing was updated
 
     def test_lr_overrides_longest_prefix_wins(self):
-        ps = ad.ParamSet()
-        a = ps.add("enc.w", np.array(0.0))
-        b = ps.add("clf.w", np.array(0.0))
+        ps = ad.ParamSet({"enc.w": np.array(0.0), "clf.w": np.array(0.0)})
+        a, b = ps["enc.w"], ps["clf.w"]
         opt = ad.Adam(ps, lr=0.1, lr_overrides={"clf.": 0.01})
         a.grad = np.array(1.0)
         b.grad = np.array(1.0)
@@ -203,10 +200,10 @@ class TestAdam:
 
 
 def test_paramset_views_share_one_buffer():
-    ps = ad.ParamSet()
-    a = ps.add("a", np.array([1.0, 2.0]))
-    b = ps.add("b", np.array([[3.0], [4.0]]))   # reallocates; a is rebound
-    c = ps.add("c", np.array(5.0))
+    ps = ad.ParamSet({"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]]),
+                      "c": np.array(5.0)})
+    a, b, c = ps["a"], ps["b"], ps["c"]
+    assert ps.names() == ["a", "b", "c"]
     assert np.array_equal(ps.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
     a.value[1] = 20.0
     b.value = np.array([[30.0], [40.0]])
@@ -223,18 +220,11 @@ def test_paramset_views_share_one_buffer():
     assert not ps.grad.any()
 
 
-def test_paramset_rejects_duplicate_names():
-    ps = ad.ParamSet()
-    ps.add("w", np.zeros(2))
-    with pytest.raises(ValueError):
-        ps.add("w", np.zeros(2))
-
-
 def test_determinism_identical_seed_identical_trajectory():
     def run():
         rng = np.random.default_rng(11)
-        ps = ad.ParamSet()
-        w = ps.add("w", rng.standard_normal((4, 3)))
+        ps = ad.ParamSet({"w": rng.standard_normal((4, 3))})
+        w = ps["w"]
         leaf = ops.ParamLeaf(w)
         opt = ad.Adam(ps, lr=0.01)
         for _ in range(20):

@@ -595,6 +595,26 @@ def test_cli_report_malformed_manifest(tmp_path, capsys, manifest):
     assert err[0].startswith("error: malformed manifest")
 
 
+@pytest.mark.parametrize("bad_table,problem", [
+    ("", "empty"),
+    ("strategy,criterion,ece_mean\nbaseline,max-val-bacc\n", "line 2 has 2 columns, expected 3"),
+    ("strategy,criterion,ece_mean\nbaseline,max-val-bacc,0.1,9\n",
+     "line 2 has 4 columns, expected 3"),
+], ids=["empty", "short_row", "long_row"])
+def test_cli_report_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"config_hash": "abc", "seeds": [0], "cells": []}))
+    (tmp_path / "metrics_softmax.csv").write_text(
+        "strategy,criterion,ece_mean\nbaseline,max-val-bacc,0.1\n")
+    bad = tmp_path / "metrics_epistemic.csv"
+    bad.write_text(bad_table)
+    assert main(["report", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"error: {bad}: ") and problem in err
+    assert out == ""
+
+
 def test_cli_docstring_lists_the_parsers_subcommands():
     block = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
     listed = [line.split()[0] for line in block.splitlines()]
@@ -622,6 +642,16 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["train", "--set", "badformat"]) == 2
     assert main(["train", "--set", "epochz=3"]) == 2
     capsys.readouterr()
+    # an empty suite, and a strategy listed twice, whose cells would share files
+    for suite, problem in (("[]", "suite list must be nonempty"),
+                           ('[{"strategy": "soft_ece"}, {"strategy": "soft_ece"}]',
+                            "suite strategies must be distinct")):
+        out = tmp_path / "run"
+        assert main(["suite", "--set", f"suite={suite}", "--set", "sizes=[80, 40, 40]",
+                     "--epochs", "1", "--seeds", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and problem in err[0]
+        assert not out.exists()
     # the retired split export is an unknown subcommand
     with pytest.raises(SystemExit) as exit_info:
         main(["generate-data"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,36 @@ def test_checkpoint_partial_value_rejected(tmp_path):
     blob.write_bytes(blob.read_bytes()[:-3])
     with pytest.raises(ValueError, match="parameter blob"):
         load_checkpoint(tmp_path)
+
+
+def _renamed(manifest):
+    manifest["param_order"][0] = "enc.w0"
+    manifest["param_shapes"]["enc.w0"] = manifest["param_shapes"].pop("enc.w1")
+
+
+def _swapped_shapes(manifest):
+    shapes = manifest["param_shapes"]
+    shapes["enc.w_mu"], shapes["dec.w1"] = shapes["dec.w1"], shapes["enc.w_mu"]
+
+
+def _other_dims(manifest):
+    manifest["dims"]["d"] = 4
+
+
+@pytest.mark.parametrize("edit", [_renamed, _swapped_shapes, _other_dims],
+                         ids=["renamed", "swapped_shapes", "other_dims"])
+def test_checkpoint_layout_mismatch_rejected(tmp_path, edit):
+    """A manifest whose layout is not that of a model of its dims is refused
+    with one error naming the checkpoint."""
+    save_checkpoint(VaeClassifier(d=3, hidden=4, latent=2, seed=0), tmp_path, epoch=1)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(tmp_path)
+    assert str(err.value).startswith(f"checkpoint {tmp_path}: ")
+    assert "\n" not in str(err.value)
 
 
 def test_checkpoint_rewrite_byte_identical(tmp_path):
