@@ -7,13 +7,14 @@ imbalanced), which gives an exact calibration target. Label noise flips each
 label with a fixed rate and adjusts the stored posterior accordingly, so the
 recorded posterior always matches the label-generating process.
 
-Each split is one ``Subset`` of read-only arrays: features ``x`` (n, d),
-labels ``g`` (n,) and the analytic posterior P(g=1 | x) (n,).
+A ``DataSplit`` is its three subsets, each one ``Subset`` of read-only arrays:
+features ``x`` (n, d), labels ``g`` (n,) and the analytic posterior
+P(g=1 | x) (n,). It keeps none of the generator's arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +46,6 @@ class DataSplit:
     train: Subset
     validation: Subset
     test: Subset
-    seed: int
-    params: dict = field(default_factory=dict)
 
     def class_counts(self) -> dict[str, tuple[int, int]]:
         out = {}
@@ -116,14 +115,6 @@ def generate_gaussian_mixture(
         train=every.take(slice(0, n_train)),
         validation=every.take(slice(n_train, n_train + n_val)),
         test=every.take(slice(n_train + n_val, n_train + n_val + n_test)),
-        seed=int(seed),
-        params={
-            "sizes": [n_train, n_val, n_test],
-            "d": int(d),
-            "separation": float(separation),
-            "noise_rate": float(noise_rate),
-            "positive_fraction": float(positive_fraction),
-        },
     )
     for name, (neg, pos) in split.class_counts().items():
         if not (neg and pos):

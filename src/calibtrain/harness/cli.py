@@ -199,16 +199,15 @@ def _table_from_csv(path: Path) -> BinTable:
                    if path.stem.endswith(f"_{s}")), None)
     if scheme is None:
         raise ValueError(f"{path}: the name ends in neither _equal_width nor _adaptive")
-    lines = path.read_text().splitlines()[1:]
-    if not lines:
+    header, *rows = _read_table(path)
+    if tuple(header) != RELIABILITY_COLUMNS:
+        raise ValueError(f"{path}: header {','.join(header)}, "
+                         f"expected {','.join(RELIABILITY_COLUMNS)}")
+    if not rows:
         raise ValueError(f"{path}: no bins, only a header")
     opt = lambda s: None if s == "" else float(s)
     bins = []
-    for row, line in enumerate(lines, start=2):
-        cells = line.split(",")
-        if len(cells) != len(RELIABILITY_COLUMNS):
-            raise ValueError(f"{path}: line {row} has {len(cells)} columns, "
-                             f"expected {len(RELIABILITY_COLUMNS)}")
+    for row, cells in enumerate(rows, start=2):
         cell = dict(zip(RELIABILITY_COLUMNS, cells))
         try:
             bins.append(Bin(lower=opt(cell["lower"]), upper=opt(cell["upper"]),

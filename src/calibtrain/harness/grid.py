@@ -41,11 +41,8 @@ class GridResult:
 def _fold_splits(split: DataSplit, data_seed: int) -> list[DataSplit]:
     order = np.random.default_rng((data_seed, 5)).permutation(len(split.train))
     half = len(split.train) // 2
-    a = split.train.take(order[:half])
-    b = split.train.take(order[half:])
-    mk = lambda tr, va: DataSplit(train=tr, validation=va, test=split.test,
-                                  seed=split.seed, params=split.params)
-    return [mk(a, b), mk(b, a)]
+    a, b = split.train.take(order[:half]), split.train.take(order[half:])
+    return [DataSplit(a, b, split.test), DataSplit(b, a, split.test)]
 
 
 def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:

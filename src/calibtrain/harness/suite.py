@@ -156,10 +156,12 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
                                   latent=config.latent, seed=seed)
             model.params.load_values(params)
             softmax_records = evaluate_records(model, x_test, g_test)
-            epi = uncertainty_records(model, split, "epistemic", scaler=scaler,
+            epi = uncertainty_records(model, split.test, "epistemic", scaler=scaler,
                                       n=config.n_uncertainty, base_seed=(seed, 3))
-            ale = uncertainty_records(model, split, "aleatoric", scaler=scaler,
-                                      n=config.n_uncertainty, base_seed=(seed, 4))
+            # input noise at a tenth of the class separation, in raw feature units
+            ale = uncertainty_records(model, split.test, "aleatoric", scaler=scaler,
+                                      n=config.n_uncertainty, sigma=0.1 * config.separation,
+                                      base_seed=(seed, 4))
             evaluated[entry.epoch] = ({
                 "softmax": metric_row(softmax_records),
                 "epistemic": metric_row(epi),

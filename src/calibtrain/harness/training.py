@@ -129,7 +129,6 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
                                          avuc_threshold=epoch_threshold)
                 if not np.isfinite(loss.value):
                     raise NonFiniteGradient(f"non-finite loss at epoch {epoch} batch {b}")
-                model.params.zero_grad()
                 backward(loss)
                 opt.step()
                 batch_losses.append(float(loss.value))

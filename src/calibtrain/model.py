@@ -333,9 +333,13 @@ def load_checkpoint(in_dir: str | Path) -> tuple[VaeClassifier, dict]:
     a model of its dims, whose parameter buffer the blob then fills."""
     src = Path(in_dir)
     manifest = json.loads((src / "manifest.json").read_text())
-    dims = manifest["dims"]
-    model = VaeClassifier(d=dims["d"], hidden=dims["hidden"], latent=dims["latent"],
-                          seed=manifest["seed"])
+    try:
+        dims = manifest["dims"]
+        model = VaeClassifier(d=dims["d"], hidden=dims["hidden"], latent=dims["latent"],
+                              seed=manifest["seed"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint {src}: no model of the manifest's dims and seed "
+                         f"({type(err).__name__}: {err})") from None
     for key, value in _layout(model.params).items():
         if manifest.get(key) != value:
             raise ValueError(f"checkpoint {src}: the manifest's {key} is not the layout "

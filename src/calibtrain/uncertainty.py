@@ -15,13 +15,14 @@ its caller's ``draw(start, stop)`` for the noise of each chunk, shape
 (stop - start, n - 1, k), so the callers differ only in their streams:
 
 - ``epistemic`` and ``aleatoric`` vote one sample with their own rng.
-- ``uncertainty_records`` builds one default_rng(base_seed) per call and
-  reads it in sample order: sample i's votes take the i-th (n - 1, latent)
-  standard-normal block for epistemic, or the i-th (n - 1, d) block times
-  sigma, added in raw feature space before scaling, for aleatoric. A
-  chunk's draw fills one (stop - start, n - 1, k) array in C order, so the
-  votes depend on i, n and k, not on the chunk size; one sample's votes
-  cannot be drawn without drawing those of the samples before it.
+- ``uncertainty_records`` votes every sample of a test ``Subset`` from one
+  default_rng(base_seed) per call, read in sample order: sample i's votes
+  take the i-th (n - 1, latent) standard-normal block for epistemic, or the
+  i-th (n - 1, d) block times the caller's sigma, added in raw feature space
+  before scaling, for aleatoric. A chunk's draw fills one
+  (stop - start, n - 1, k) array in C order, so the votes depend on i, n
+  and k, not on the chunk size; one sample's votes cannot be drawn without
+  drawing those of the samples before it.
 - ``epistemic_batch``, which confidence-weight training calls on every
   batch of b rows, shares one rng across the batch: it draws one
   (n - 1, b, latent) array, which reads the stream exactly as one
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataSplit, FeatureScaler
+from .data import FeatureScaler, Subset
 from .metrics import Predictions
 from .model import VaeClassifier
 
@@ -122,7 +123,7 @@ def epistemic(model: VaeClassifier, x: np.ndarray, n: int = 20,
 
 
 def aleatoric(model: VaeClassifier, x: np.ndarray, n: int = 20,
-              sigma: float = 0.2, rng: np.random.Generator | None = None,
+              sigma: float = 0.0, rng: np.random.Generator | None = None,
               scaler: FeatureScaler | None = None) -> UncertaintyEstimate:
     """Vote over the raw feature row x plus n - 1 noisy copies, latent kept at mu.
 
@@ -145,29 +146,25 @@ def predictions_from_shares(c: np.ndarray, g: np.ndarray) -> Predictions:
                           (c >= 0.5).astype(np.int64), np.array(g, dtype=np.int64))
 
 
-def uncertainty_records(model: VaeClassifier, split: DataSplit, kind: str,
+def uncertainty_records(model: VaeClassifier, test: Subset, kind: str,
                         scaler: FeatureScaler | None = None, n: int = 20,
-                        sigma: float | None = None,
-                        base_seed: tuple = (0,)) -> Predictions:
-    """Vote-based predictions for the test split, voted VOTE_ROWS // n samples
-    at a time.
+                        sigma: float = 0.0, base_seed: tuple = (0,)) -> Predictions:
+    """Vote-based predictions for the raw test samples, voted VOTE_ROWS // n
+    samples at a time; sigma scales the aleatoric input noise.
 
     The votes of a call draw from one default_rng(base_seed), read in sample
-    order, so they do not depend on the chunk size. Aleatoric sigma defaults
-    to 0.1x the generating class separation.
+    order, so they do not depend on the chunk size.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if sigma is None:
-        sigma = 0.1 * float(split.params.get("separation", 2.0))
-    x = split.test.x
+    x = test.x
     width = model.latent if kind == "epistemic" else x.shape[1]
     draw = lambda start, stop: None
     if n > 1 and (kind == "epistemic" or sigma > 0):
         rng = np.random.default_rng(base_seed)
         draw = lambda start, stop: rng.standard_normal((stop - start, n - 1, width))
     preds = _votes(model, x, kind, n, draw, sigma=sigma, scaler=scaler)
-    return predictions_from_shares(preds.sum(axis=1) / n, split.test.g)
+    return predictions_from_shares(preds.sum(axis=1) / n, test.g)
 
 
 def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,

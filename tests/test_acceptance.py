@@ -12,7 +12,7 @@ import pytest
 
 import conftest
 from calibtrain.autodiff import backward
-from calibtrain.data import DataSplit, FeatureScaler, features, generate_gaussian_mixture
+from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
 from calibtrain.harness import (
     EpochEntry,
     EpochHistory,
@@ -413,11 +413,8 @@ def test_criterion_8_uncertainty_estimators():
         mean_delta = float(np.mean(deltas))
         assert mean_delta < 0.1
 
-        subset = DataSplit(train=split.train, validation=split.validation,
-                           test=split.test.take(slice(0, 100)), seed=split.seed,
-                           params=split.params)
-        recs = uncertainty_records(model, subset, "aleatoric", scaler=scaler,
-                                   n=10, sigma=0.0, base_seed=(73,))
+        recs = uncertainty_records(model, split.test.take(slice(0, 100)), "aleatoric",
+                                   scaler=scaler, n=10, sigma=0.0, base_seed=(73,))
         votes = recs.probs[:, 1].tolist()
         assert all(v in (0.0, 1.0) for v in votes)
         info["detail"] = (f"20 vs 200 draws mean |delta c| {mean_delta:.3f}; "

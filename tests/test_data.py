@@ -14,8 +14,11 @@ from calibtrain.data import (
 from oracles import perturb
 
 
+SEPARATION = 2.0
+
+
 def small_split(**kw):
-    args = dict(sizes=(200, 100, 100), d=4, separation=2.0, noise_rate=0.0,
+    args = dict(sizes=(200, 100, 100), d=4, separation=SEPARATION, noise_rate=0.0,
                 positive_fraction=0.5, seed=11)
     args.update(kw)
     return generate_gaussian_mixture(**args)
@@ -23,8 +26,7 @@ def small_split(**kw):
 
 def test_posterior_at_midpoint_is_half():
     # balanced classes, x on the decision boundary
-    split = small_split()
-    sep = split.params["separation"]
+    sep = SEPARATION
     # recompute the generator's formula directly at x0 = 0
     t = sep * 0.0 + math.log(0.5 / 0.5)
     assert 1.0 / (1.0 + math.exp(-t)) == 0.5
@@ -32,7 +34,7 @@ def test_posterior_at_midpoint_is_half():
 
 def test_posterior_formula_matches_samples():
     split = small_split(seed=3)
-    sep = split.params["separation"]
+    sep = SEPARATION
     for x, posterior in zip(split.train.x[:50], split.train.posterior[:50]):
         expect = 1.0 / (1.0 + math.exp(-sep * x[0]))
         assert abs(posterior - expect) < 1e-12

@@ -392,13 +392,13 @@ def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append((args[2], kwargs))
         return uncertainty_records(*args, **kwargs)
 
     monkeypatch.setattr("calibtrain.harness.suite.uncertainty_records", counting)
     # at 3 epochs, mmce seed 2 selects different epochs under the two
     # criteria, and the other cells select one epoch under both
-    cfg = tiny_config(epochs=3, seeds=[0, 2],
+    cfg = tiny_config(epochs=3, seeds=[0, 2], separation=3.0,
                       suite=[{"strategy": "baseline"}, {"strategy": "mmce"}],
                       out_dir=str(tmp_path / "run"))
     result = run_suite(cfg)
@@ -407,7 +407,11 @@ def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
     distinct = [len(set(c["selected_epoch"].values())) for c in manifest["cells"]]
     assert sorted(set(distinct)) == [1, 2]
     assert len(calls) == 2 * sum(distinct)
-    assert calls.count("epistemic") == calls.count("aleatoric")
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("epistemic") == kinds.count("aleatoric")
+    # the aleatoric votes take the suite's sigma, a tenth of the separation
+    assert all(kwargs["sigma"] == 0.1 * cfg.separation
+               for kind, kwargs in calls if kind == "aleatoric")
 
     for cell in result.cells:
         bacc, ece_ = (cell.selected_epoch[c] for c in ("max-val-bacc", "min-val-ece"))
@@ -714,6 +718,7 @@ GOOD_TABLE = "bin,lower,upper,count,conf,acc\n0,0.0,0.5,2,0.4,0.5\n1,0.5,1.0,3,0
     ("bin,lower,upper,count,conf,acc\n0,0.0,0.5,2,0.4,0.5,9\n", "line 2 has 7 columns"),
     ("bin,lower,upper,count,conf,acc\n", "no bins"),
     ("bin,lower,upper,count,conf,acc\n0,0.0,0.5,two,0.4,0.5\n", "line 2"),
+    ("bin,lower,upper,count,acc,conf\n0,0.0,0.5,2,0.4,0.5\n", "header"),
 ])
 def test_cli_plot_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
     rel = tmp_path / "reliability"

@@ -395,16 +395,34 @@ def _other_dims(manifest):
     manifest["dims"]["d"] = 4
 
 
-@pytest.mark.parametrize("edit", [_renamed, _swapped_shapes, _other_dims],
-                         ids=["renamed", "swapped_shapes", "other_dims"])
+def _zero_dims(manifest):
+    manifest["dims"]["d"] = 0
+
+
+def _no_dims(manifest):
+    del manifest["dims"]
+
+
+def _no_seed(manifest):
+    del manifest["seed"]
+
+
+def _not_an_object(manifest):
+    return [manifest]
+
+
+@pytest.mark.parametrize("edit", [_renamed, _swapped_shapes, _other_dims, _zero_dims,
+                                  _no_dims, _no_seed, _not_an_object],
+                         ids=["renamed", "swapped_shapes", "other_dims", "zero_dims",
+                              "no_dims", "no_seed", "not_an_object"])
 def test_checkpoint_layout_mismatch_rejected(tmp_path, edit):
-    """A manifest whose layout is not that of a model of its dims is refused
-    with one error naming the checkpoint."""
+    """A manifest whose layout is not that of a model of its dims, or that
+    gives no valid dims or seed, is refused with one error naming the
+    checkpoint."""
     save_checkpoint(VaeClassifier(d=3, hidden=4, latent=2, seed=0), tmp_path, epoch=1)
     path = tmp_path / "manifest.json"
     manifest = json.loads(path.read_text())
-    edit(manifest)
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(edit(manifest) or manifest))
     with pytest.raises(ValueError) as err:
         load_checkpoint(tmp_path)
     assert str(err.value).startswith(f"checkpoint {tmp_path}: ")

@@ -168,20 +168,20 @@ def test_predictions_from_shares_conventions():
 def test_uncertainty_records_full_split():
     split = generate_gaussian_mixture(sizes=(30, 10, 25), d=2, separation=2.0, seed=3)
     m = sign_model()
-    recs = uncertainty_records(m, split, "epistemic", n=5, base_seed=(3, 3))
+    recs = uncertainty_records(m, split.test, "epistemic", n=5, base_seed=(3, 3))
     assert len(recs) == 25
-    again = uncertainty_records(m, split, "epistemic", n=5, base_seed=(3, 3))
+    again = uncertainty_records(m, split.test, "epistemic", n=5, base_seed=(3, 3))
     assert np.array_equal(recs.conf, again.conf)
     assert np.array_equal(recs.predicted, again.predicted)
-    ale = uncertainty_records(m, split, "aleatoric", n=5, base_seed=(3, 4))
-    assert len(ale) == 25  # sigma defaulted from the split's separation
+    ale = uncertainty_records(m, split.test, "aleatoric", n=5, sigma=0.2, base_seed=(3, 4))
+    assert len(ale) == 25
     with pytest.raises(ValueError):
-        uncertainty_records(m, split, "dropout")
+        uncertainty_records(m, split.test, "dropout")
     for kind in KINDS:
         with pytest.raises(ValueError, match="need at least one pass"):
-            uncertainty_records(m, split, kind, n=0)
+            uncertainty_records(m, split.test, kind, n=0)
     with pytest.raises(ValueError):   # default_rng rejects a negative seed word
-        uncertainty_records(m, split, "epistemic", n=3, base_seed=(-1, 3))
+        uncertainty_records(m, split.test, "epistemic", n=3, base_seed=(-1, 3))
 
 
 # -- chunked records against per-sample loops ---------------------------------------
@@ -235,9 +235,9 @@ def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
     m.params["enc.b_lv"].value[:] = -1.0   # latent spread that splits some votes
     scaler = FeatureScaler().fit(features(split.train)) if scaled else None
     base = (9, 2)
-    got = uncertainty_records(m, split, kind, scaler=scaler, n=n, sigma=sigma,
+    sigma = 0.1 * 1.0 if sigma is None else sigma   # the suite's, at separation 1.0
+    got = uncertainty_records(m, split.test, kind, scaler=scaler, n=n, sigma=sigma,
                               base_seed=base)
-    sigma = 0.1 * split.params["separation"] if sigma is None else sigma
     want = per_sample_records(m, split, kind, scaler, n, sigma, base)
     assert len(got) == len(want) == len(split.test)
     for field in ("conf", "predicted", "g", "correct", "probs"):
@@ -256,7 +256,8 @@ def test_uncertainty_records_do_not_depend_on_vote_rows(kind, monkeypatch):
     runs = []
     for rows in (1, 7, 512):
         monkeypatch.setattr(uncertainty, "VOTE_ROWS", rows)
-        runs.append(uncertainty_records(m, split, kind, n=5, sigma=0.7, base_seed=(2, 3)))
+        runs.append(uncertainty_records(m, split.test, kind, n=5, sigma=0.7,
+                                        base_seed=(2, 3)))
     for got in runs[1:]:
         for field in ("conf", "predicted", "g", "correct", "probs"):
             assert np.array_equal(getattr(got, field), getattr(runs[0], field))
@@ -275,7 +276,7 @@ def test_uncertainty_records_seed_without_a_generator_per_sample(monkeypatch):
         monkeypatch.setattr(np.random, name, counting)
     split = generate_gaussian_mixture(sizes=(30, 10, 600), d=2, seed=6)
     calls.clear()
-    uncertainty_records(sign_model(), split, "epistemic", n=7, base_seed=(1, 3))
+    uncertainty_records(sign_model(), split.test, "epistemic", n=7, base_seed=(1, 3))
     assert len(calls) <= 2, calls
 
 
@@ -338,7 +339,7 @@ def test_votes_cast_in_blocks_of_at_most_vote_rows(monkeypatch):
 
     monkeypatch.setattr(m, "classify_values", counting)
     split = generate_gaussian_mixture(sizes=(30, 10, 600), d=2, seed=6)
-    uncertainty_records(m, split, "epistemic", n=7)
+    uncertainty_records(m, split.test, "epistemic", n=7)
     chunk = VOTE_ROWS // 7
     assert rows == [chunk * 7] * (600 // chunk) + [600 % chunk * 7]
     rows.clear()
