@@ -88,8 +88,8 @@ def generate_gaussian_mixture(
         raise ValueError(f"need at least 40 samples in total, got {n}")
     if any(s <= 0 for s in sizes):
         raise ValueError(f"every split must be nonempty, got sizes {sizes}")
-    if separation <= 0:
-        raise ValueError(f"separation must be positive, got {separation}")
+    if not 0 < separation < np.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     if not (0.0 <= noise_rate < 0.5):
         raise ValueError(f"noise_rate must lie in [0, 0.5), got {noise_rate}")
     if not (0.0 < positive_fraction < 1.0):

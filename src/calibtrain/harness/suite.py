@@ -202,9 +202,9 @@ def _cell_calls_replaced() -> bool:
 
 
 def run_suite(config: ExperimentConfig, out_override: str | None = None) -> SuiteResult:
+    split = generate_split(config)
     out = config.resolve_out_dir(out_override)
     out.mkdir(parents=True, exist_ok=True)
-    split = generate_split(config)
     scaler = FeatureScaler().fit(split.train.x)
     x_test = scaler.transform(split.test.x)
     g_test = split.test.g

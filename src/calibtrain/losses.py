@@ -95,10 +95,11 @@ def checked_int(name: str, value) -> int:
 
 
 def check_number(name: str, value) -> None:
-    """A ValueError naming the field unless ``value`` is a real number (not
-    a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    """A ValueError naming the field unless ``value`` is a finite real number
+    (not a bool); a NaN would pass every range check written as ``x <= 0``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass

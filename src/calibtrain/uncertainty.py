@@ -1,20 +1,19 @@
 """Vote-proportion uncertainty estimators over the latent and input spaces.
 
-Both estimators run n forward passes per sample and report c_positive, the
+Both kinds run n forward passes per sample and report c_positive, the
 fraction of positive predictions. The first pass is always the deterministic
 one (z = mu on the original input); the remaining n - 1 passes vary either
 the latent draw (epistemic) or the input via additive Gaussian noise
 (aleatoric, with the latent held at mu so only input noise contributes).
 
-Every estimator casts its votes through one chunked loop, ``_votes``. It
-votes VOTE_ROWS // n samples per batched classifier pass (one sample when
-n alone is more), so the vote arrays stay small whatever the split or batch
-size; for epistemic votes it encodes the latent moments of every row once,
-before the loop, since they do not depend on the draws. The loop asks
-its caller's ``draw(start, stop)`` for the noise of each chunk, shape
-(stop - start, n - 1, k), so the callers differ only in their streams:
+Every vote is cast through one chunked loop, ``_votes``. It votes
+VOTE_ROWS // n samples per batched classifier pass (one sample when n alone
+is more), so the vote arrays stay small whatever the split or batch size;
+for epistemic votes it encodes the latent moments of every row once, before
+the loop, since they do not depend on the draws. The loop asks its caller's
+``draw(start, stop)`` for the noise of each chunk, shape (stop - start,
+n - 1, k), so its two callers differ only in their streams:
 
-- ``epistemic`` and ``aleatoric`` vote one sample with their own rng.
 - ``uncertainty_records`` votes every sample of a test ``Subset`` from one
   default_rng(base_seed) per call, read in sample order: sample i's votes
   take the i-th (n - 1, latent) standard-normal block for epistemic, or the
@@ -22,7 +21,8 @@ its caller's ``draw(start, stop)`` for the noise of each chunk, shape
   before scaling, for aleatoric. A chunk's draw fills one
   (stop - start, n - 1, k) array in C order, so the votes depend on i, n
   and k, not on the chunk size; one sample's votes cannot be drawn without
-  drawing those of the samples before it.
+  drawing those of the samples before it. To vote one sample on its own
+  stream, pass the one-row ``test.take(slice(i, i + 1))``.
 - ``epistemic_batch``, which confidence-weight training calls on every
   batch of b rows, shares one rng across the batch: it draws one
   (n - 1, b, latent) array, which reads the stream exactly as one
@@ -36,8 +36,6 @@ label; an exact tie at 0.5 predicts positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import FeatureScaler, Subset
@@ -48,20 +46,6 @@ KINDS = ("epistemic", "aleatoric")
 # classifier rows per batched vote pass; bounds the vote arrays, so peak
 # memory stays flat in the test-split and batch sizes
 VOTE_ROWS = 512
-
-
-@dataclass
-class UncertaintyEstimate:
-    c_positive: float
-    n_samples: int
-    kind: str
-    predictions: np.ndarray  # (n,) per-pass predicted labels
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"need at least one pass, got {self.n_samples}")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 # -- votes -------------------------------------------------------------------------
@@ -104,39 +88,6 @@ def _votes(model: VaeClassifier, x: np.ndarray, kind: str, n: int, draw,
         labels = np.argmax(model.classify_values(z.reshape(-1, z.shape[-1])), axis=1)
         preds[start:stop] = labels.reshape(stop - start, n)
     return preds
-
-
-def _estimate(preds: np.ndarray, kind: str) -> UncertaintyEstimate:
-    return UncertaintyEstimate(c_positive=float(preds.mean()), n_samples=preds.size,
-                               kind=kind, predictions=preds)
-
-
-def epistemic(model: VaeClassifier, x: np.ndarray, n: int = 20,
-              rng: np.random.Generator | None = None) -> UncertaintyEstimate:
-    """Vote over one deterministic latent plus n - 1 reparameterized draws."""
-    if n > 1 and rng is None:
-        raise ValueError("latent sampling requires an rng")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    eps = rng.standard_normal((1, n - 1, model.latent)) if n > 1 else None
-    return _estimate(_votes(model, x, "epistemic", n, lambda start, stop: eps)[0],
-                     "epistemic")
-
-
-def aleatoric(model: VaeClassifier, x: np.ndarray, n: int = 20,
-              sigma: float = 0.0, rng: np.random.Generator | None = None,
-              scaler: FeatureScaler | None = None) -> UncertaintyEstimate:
-    """Vote over the raw feature row x plus n - 1 noisy copies, latent kept at mu.
-
-    Noise is added in raw feature space; when a scaler is given, each copy is
-    scaled after perturbation, matching how training inputs were prepared.
-    """
-    if n > 1 and sigma > 0 and rng is None:
-        raise ValueError("input perturbation requires an rng")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    eps = rng.standard_normal((1, n - 1, x.shape[1])) if n > 1 and sigma > 0 else None
-    preds = _votes(model, x, "aleatoric", n, lambda start, stop: eps,
-                   sigma=sigma, scaler=scaler)
-    return _estimate(preds[0], "aleatoric")
 
 
 def predictions_from_shares(c: np.ndarray, g: np.ndarray) -> Predictions:

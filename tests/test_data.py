@@ -25,11 +25,17 @@ def small_split(**kw):
 
 
 def test_posterior_at_midpoint_is_half():
-    # balanced classes, x on the decision boundary
-    sep = SEPARATION
-    # recompute the generator's formula directly at x0 = 0
-    t = sep * 0.0 + math.log(0.5 / 0.5)
-    assert 1.0 / (1.0 + math.exp(-t)) == 0.5
+    # balanced classes: the stored posterior of the sample nearest the
+    # decision boundary x0 = 0 lies within the logistic's slope bound,
+    # |sigmoid(s * x0) - 1/2| <= s * |x0| / 4, and label noise
+    # p(1 - rho) + (1 - p) rho only shrinks that gap, by 1 - 2 rho
+    for rho in (0.0, 0.15, 0.4):
+        split = small_split(noise_rate=rho)
+        i = np.argmin(np.abs(split.train.x[:, 0]))
+        gap = abs(split.train.posterior[i] - 0.5)
+        bound = SEPARATION * abs(split.train.x[i, 0]) / 4
+        assert gap <= bound
+        assert gap <= (1 - 2 * rho) * bound + 1e-15
 
 
 def test_posterior_formula_matches_samples():
@@ -103,6 +109,8 @@ def test_split_sizes_and_disjointness():
     dict(d=0),
     dict(sizes=(10, 5, 5)),
     dict(sizes=(0, 50, 50)),
+    dict(separation=math.nan),
+    dict(separation=math.inf),
 ])
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):

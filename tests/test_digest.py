@@ -1,4 +1,4 @@
-"""Pinned report digests: three fixed suites must reproduce their reports
+"""Pinned report digests: four fixed suites must reproduce their reports
 byte for byte.
 
 The first pins were taken before the VAE layers moved from the autodiff
@@ -9,7 +9,10 @@ there but for the two vote tables: its 2,000-row test split shows last-bit
 changes that the small suite's 200 rows can miss, such as a Brier score
 summed in another order.
 The third trains AvUC alone past its warm-up, since the other two stop
-before the threshold leaves 1.0.
+before the threshold leaves 1.0. The fourth trains paired_confidence,
+confidence_weight and mmce at batch 250, where a batch's training votes
+span several chunks and the pair heads are 250 x 250; the other three
+train at batch 25.
 Any later change that moves a number must re-pin here and say why. The pins
 hold for float64 numpy on x86-64; another BLAS may round matrix products
 differently.
@@ -18,7 +21,7 @@ differently.
 import hashlib
 import json
 
-from calibtrain.harness.config import ExperimentConfig
+from calibtrain.harness.config import DEFAULT_SUITE, ExperimentConfig
 from calibtrain.harness.suite import run_suite
 from calibtrain.harness.training import AVUC_WARMUP_EPOCHS
 
@@ -207,6 +210,45 @@ AVUC_PINS = {
 }
 
 
+# confidence_weight, paired_confidence and mmce at batch 250: the training
+# votes of a batch span ten VOTE_ROWS chunks (25 rows each at n = 20), and
+# the pair heads are 250 x 250
+LARGE_BATCH_CONFIG = dict(sizes=(1000, 200, 200), epochs=2, batch_size=250, seeds=[0],
+                          data_seed=0,
+                          suite=[dict(entry) for entry in DEFAULT_SUITE
+                                 if entry["strategy"] in ("paired_confidence",
+                                                          "confidence_weight", "mmce")])
+
+LARGE_BATCH_PINS = {
+    "history/confidence_weight_seed0.csv":
+        "69e6b36f1f47d00dc784d7755d40bc7b23442320cc25074b2e97586abe8c304e",
+    "history/mmce_seed0.csv":
+        "1d96f47b59ea012725a7bf38d2b715a4a7ea09f780d05138789835cf8bc421ba",
+    "history/paired_confidence_seed0.csv":
+        "116eb7b29a977c53f07a2bc8876e6de13fd839e5e01bd6e2840bfa303a1f86d9",
+    "metrics_aleatoric.csv":
+        "8a5bbb4c21e2d286ef74601e7a35eaf915a03f27394da2905a82abcd68532ff6",
+    "metrics_epistemic.csv":
+        "57704a13245f223cece61203dffcaf0fc3aa38b4031593f776a4cedd4c1bc56e",
+    "metrics_softmax.csv":
+        "da4310231430c1ca8edc5975627887d6a15d50dc1b81ad8cb840fc4cc6212d69",
+    "reliability/confidence_weight_adaptive.csv":
+        "4ec4713d8aaf735688173d21a0a86dac9892a2ea60e82afaaab9947017f04fe3",
+    "reliability/confidence_weight_equal_width.csv":
+        "80cfe5c36bce9ca583ee24aeb370578a073e2b0f6f3e2f08001951382e512648",
+    "reliability/mmce_adaptive.csv":
+        "a1a3494782edaa1d4a4eee9702862134c2925f6d9912dd5f56a73708cb4205bc",
+    "reliability/mmce_equal_width.csv":
+        "d325b36e788946d2ecbff26b12e3efe6418df3b6fabf86bc84e6bc0cf845f9f3",
+    "reliability/paired_confidence_adaptive.csv":
+        "2b69ec4b51930455c897e217203441f9f85ec47d2d50fd10a12d9f430451efac",
+    "reliability/paired_confidence_equal_width.csv":
+        "358454bf3d34f39c0abd056875795b047ba7f22d197d5e75226dc1e02e4a27ea",
+    "selection_comparison.csv":
+        "3b0e32f881940b13077b6fefe3cb7215d7d194c52b88dda852625376be156f05",
+}
+
+
 def test_report_csvs_match_pins(tmp_path):
     result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **DIGEST_CONFIG))
     assert result.ok
@@ -232,3 +274,11 @@ def test_avuc_past_warmup_matches_pins(tmp_path):
     assert got == AVUC_PINS
     (cell,) = json.loads((result.out_dir / "manifest.json").read_text())["cells"]
     assert cell["selected_epoch"]["max-val-bacc"] >= AVUC_WARMUP_EPOCHS
+
+
+def test_large_batch_kernels_match_pins(tmp_path):
+    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **LARGE_BATCH_CONFIG))
+    assert result.ok
+    got = {str(p.relative_to(result.out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(result.out_dir.rglob("*.csv"))}
+    assert got == LARGE_BATCH_PINS

@@ -112,11 +112,28 @@ def test_config_json_round_trip(tmp_path):
     dict(suite=[{"strategy": "baseline"}, "mmce"]),
     dict(grid={"lambda_n": 0.5}),
     dict(grid={"lambda_n": [0.5, "1"]}),
+    # non-finite loss numbers, a grid candidate included
+    dict(loss={"strategy": "mmce", "kernel_width": float("nan")}),
+    dict(suite=[{"strategy": "soft_ece", "temperature": float("inf")}]),
+    dict(grid={"lambda_n": [0.5, float("nan")]}),
 ])
 def test_config_rejects_bad_values(bad):
     kw = dict(TINY)
     kw.update(bad)
     with pytest.raises(ValueError):
+        ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["sizes", "d", "separation", "noise_rate",
+                                   "positive_fraction", "data_seed", "hidden", "latent",
+                                   "epochs", "batch_size", "lr_vae", "lr_classifier",
+                                   "seeds", "n_uncertainty"])
+def test_config_rejects_non_finite_numbers(field, value):
+    # a NaN passes a range check written as `x <= 0`: refuse it by type
+    kw = dict(TINY)
+    kw[field] = {"sizes": [value, 40, 40], "seeds": [value]}.get(field, value)
+    with pytest.raises(ValueError, match=f"^{field} must be "):
         ExperimentConfig(**kw)
 
 
@@ -682,6 +699,15 @@ def test_cli_bad_inputs(tmp_path, capsys):
     (["suite", "--set", "sizes=[400.7, 200, 200]"], "sizes must be an integer, got 400.7"),
     (["train", "--set", 'loss={"strategy": "soft_ece", "n_bins": 15.5}'],
      "n_bins must be an integer, got 15.5"),
+    # non-finite numbers
+    (["train", "--set", "separation=NaN"], "separation must be a finite number, got nan"),
+    (["train", "--set", "lr_vae=Infinity"], "lr_vae must be a finite number, got inf"),
+    (["grid", "--strategy", "mmce", "--set", 'grid={"kernel_width": [0.4, NaN]}'],
+     "kernel_width must be a finite number, got nan"),
+    # data values the generator refuses
+    (["train", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
+    (["grid", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
+    (["suite", "--seeds", "0", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
 ])
 def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     out = tmp_path / "run"

@@ -93,6 +93,16 @@ def test_spec_rejects_bad_values(kw):
         LossSpec.from_dict(kw)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lambda_kl", "lambda_c", "lambda_n", "margin",
+                                   "weight_floor", "temperature", "n_bins",
+                                   "norm_order", "kernel_width"])
+def test_spec_rejects_non_finite_numbers(field, value):
+    # a NaN passes a range check written as `x <= 0`: refuse it by type
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        LossSpec(strategy="baseline", **{field: value})
+
+
 def test_from_dict_ignores_irrelevant_keys_with_notice(caplog):
     with caplog.at_level(logging.INFO, logger="calibtrain.losses"):
         spec = LossSpec.from_dict({"strategy": "baseline", "lambda_c": 2.0,

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from calibtrain import uncertainty
-from calibtrain.data import FeatureScaler, features, generate_gaussian_mixture
+from calibtrain.data import FeatureScaler, Subset, features, generate_gaussian_mixture
 from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import (
     KINDS,
     VOTE_ROWS,
-    UncertaintyEstimate,
-    aleatoric,
-    epistemic,
     epistemic_batch,
     predictions_from_shares,
     uncertainty_records,
@@ -32,62 +29,67 @@ def sign_model(latent_floor=False):
     return m
 
 
-# -- estimate type ------------------------------------------------------------
+def share(model, x, kind, **kwargs):
+    """Positive-vote share of the one raw sample x, voted as a one-row test
+    ``Subset`` on its own stream."""
+    row = Subset(np.array([x], dtype=np.float64), np.zeros(1, dtype=np.int64),
+                 np.full(1, 0.5))
+    return float(uncertainty_records(model, row, kind, **kwargs).probs[0, 1])
 
-def test_estimate_counting_definition():
-    preds = np.array([1] * 13 + [0] * 7)
-    est = UncertaintyEstimate(c_positive=float(preds.mean()), n_samples=20,
-                              kind="epistemic", predictions=preds)
-    assert est.c_positive == 0.65
 
+def classified_rows(model, monkeypatch):
+    """Record the rows of every classifier pass of model, in call order."""
+    rows = []
+    classify = model.classify_values
 
-def test_estimate_validation():
-    with pytest.raises(ValueError):
-        UncertaintyEstimate(c_positive=0.5, n_samples=0, kind="epistemic",
-                            predictions=np.array([]))
-    with pytest.raises(ValueError):
-        UncertaintyEstimate(c_positive=0.5, n_samples=1, kind="dropout",
-                            predictions=np.array([1]))
+    def recording(z):
+        rows.append(np.array(z))
+        return classify(z)
+
+    monkeypatch.setattr(model, "classify_values", recording)
+    return rows
 
 
 # -- epistemic ------------------------------------------------------------------
 
-def test_epistemic_counts_and_range():
+def test_epistemic_counts_and_range(monkeypatch):
     m = sign_model()
-    est = epistemic(m, np.array([0.05, 0.0]), n=20, rng=np.random.default_rng(0))
-    assert est.n_samples == 20 and len(est.predictions) == 20
-    assert est.c_positive == est.predictions.mean()
-    assert 0.0 <= est.c_positive <= 1.0
-    assert est.predictions[0] == 1  # deterministic pass prediction at x0 > 0
+    x = np.array([0.05, 0.0])
+    rows = classified_rows(m, monkeypatch)
+    c = share(m, x, "epistemic", n=20, base_seed=(0,))
+    assert 0.0 <= c <= 1.0
+    assert c * 20 == round(c * 20)   # a count of 20 votes
+    # pass 0 is the deterministic one: z = mu on the original input
+    (z,) = rows
+    assert len(z) == 20
+    mu, _ = m.encode_values(x[None, :])
+    assert np.array_equal(z[0], mu[0])
+    assert np.argmax(m.classify_values(z[:1]), axis=1)[0] == 1   # x0 > 0
 
 
 def test_epistemic_deterministic_under_seed():
     m = sign_model()
+    m.params["enc.b_lv"].value[:] = -1.0   # latent spread that splits the votes
     x = np.array([0.1, -0.3])
-    a = epistemic(m, x, n=20, rng=np.random.default_rng(5))
-    b = epistemic(m, x, n=20, rng=np.random.default_rng(5))
-    assert a.c_positive == b.c_positive
-    assert np.array_equal(a.predictions, b.predictions)
+    a = share(m, x, "epistemic", n=20, base_seed=(5,))
+    b = share(m, x, "epistemic", n=20, base_seed=(5,))
+    assert 0.0 < a < 1.0
+    assert a == b
 
 
 def test_epistemic_degenerate_variance_matches_deterministic():
     m = sign_model(latent_floor=True)
-    rng = np.random.default_rng(1)
-    pos = epistemic(m, np.array([0.5, 0.2]), n=200, rng=rng)
-    neg = epistemic(m, np.array([-0.5, 0.2]), n=200, rng=rng)
-    assert pos.c_positive == 1.0
-    assert neg.c_positive == 0.0
+    assert share(m, np.array([0.5, 0.2]), "epistemic", n=200, base_seed=(1, 0)) == 1.0
+    assert share(m, np.array([-0.5, 0.2]), "epistemic", n=200, base_seed=(1, 1)) == 0.0
 
 
 def test_epistemic_validation():
     m = sign_model()
-    with pytest.raises(ValueError):
-        epistemic(m, np.zeros(2), n=0, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        epistemic(m, np.zeros(2), n=5, rng=None)
-    # a single pass needs no rng
-    est = epistemic(m, np.array([1.0, 0.0]), n=1)
-    assert est.c_positive == 1.0
+    with pytest.raises(ValueError, match="need at least one pass"):
+        share(m, np.zeros(2), "epistemic", n=0)
+    # a single pass is the deterministic vote
+    assert share(m, np.array([1.0, 0.0]), "epistemic", n=1) == 1.0
+    assert share(m, np.array([-1.0, 0.0]), "epistemic", n=1) == 0.0
 
 
 def test_epistemic_stability_20_vs_200():
@@ -96,9 +98,9 @@ def test_epistemic_stability_20_vs_200():
     deltas = []
     for _ in range(40):
         x = rng_grid.uniform(-1, 1, 2)
-        a = epistemic(m, x, n=20, rng=np.random.default_rng(3))
-        b = epistemic(m, x, n=200, rng=np.random.default_rng(3))
-        deltas.append(abs(a.c_positive - b.c_positive))
+        a = share(m, x, "epistemic", n=20, base_seed=(3,))
+        b = share(m, x, "epistemic", n=200, base_seed=(3,))
+        deltas.append(abs(a - b))
     assert np.mean(deltas) < 0.1
 
 
@@ -106,18 +108,14 @@ def test_epistemic_stability_20_vs_200():
 
 def test_aleatoric_sigma_zero_unanimous():
     m = sign_model()
-    s = np.array([0.4, -0.1])
-    est = aleatoric(m, s, n=20, sigma=0.0)
-    assert est.c_positive in (0.0, 1.0)
-    assert est.c_positive == 1.0
-    assert len(set(est.predictions.tolist())) == 1
+    assert share(m, np.array([0.4, -0.1]), "aleatoric", n=20, sigma=0.0) == 1.0
+    assert share(m, np.array([-0.4, 0.1]), "aleatoric", n=20, sigma=0.0) == 0.0
 
 
 def test_aleatoric_far_from_boundary_stable():
     m = sign_model()
-    s = np.array([5.0, 0.0])
-    est = aleatoric(m, s, n=20, sigma=0.1, rng=np.random.default_rng(4))
-    assert est.c_positive == 1.0
+    assert share(m, np.array([5.0, 0.0]), "aleatoric", n=20, sigma=0.1,
+                 base_seed=(4,)) == 1.0
 
 
 def test_aleatoric_boundary_mixed_over_seeds():
@@ -125,23 +123,18 @@ def test_aleatoric_boundary_mixed_over_seeds():
     # sample sitting on the decision boundary
     m = sign_model()
     s = np.array([0.0, 0.0])
-    mixed = 0
-    for seed in range(100):
-        est = aleatoric(m, s, n=20, sigma=1.0, rng=np.random.default_rng(seed))
-        if 0.0 < est.c_positive < 1.0:
-            mixed += 1
+    mixed = sum(0.0 < share(m, s, "aleatoric", n=20, sigma=1.0, base_seed=(seed,)) < 1.0
+                for seed in range(100))
     assert mixed >= 95
 
 
 def test_aleatoric_validation():
     m = sign_model()
     s = np.zeros(2)
-    with pytest.raises(ValueError):
-        aleatoric(m, s, n=0, sigma=0.1, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        aleatoric(m, s, n=5, sigma=-1.0, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        aleatoric(m, s, n=5, sigma=0.5, rng=None)
+    with pytest.raises(ValueError, match="need at least one pass"):
+        share(m, s, "aleatoric", n=0, sigma=0.1)
+    with pytest.raises(ValueError, match="sigma"):
+        share(m, s, "aleatoric", n=5, sigma=-1.0)
 
 
 def test_aleatoric_scaler_applied():
@@ -149,10 +142,26 @@ def test_aleatoric_scaler_applied():
     scaler = FeatureScaler().fit(np.array([[-1.0, -1.0], [1.0, 1.0]]))
     # raw x0 = -0.5 scaled to 0.25: positive input to the scaled-space model
     s = np.array([-0.5, 0.0])
-    raw = aleatoric(m, s, n=1)
-    scaled = aleatoric(m, s, n=1, scaler=scaler)
-    assert raw.c_positive == 0.0
-    assert scaled.c_positive == 1.0
+    assert share(m, s, "aleatoric", n=1) == 0.0
+    assert share(m, s, "aleatoric", n=1, scaler=scaler) == 1.0
+
+
+def test_aleatoric_noise_added_in_raw_units_before_scaling(monkeypatch):
+    m = sign_model()
+    scaler = FeatureScaler().fit(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+    # raw x0 = -2 scales (and clips) to 0, a negative vote; a copy turns
+    # positive only when its raw noise exceeds 1, about 2% of draws at
+    # sigma 0.5, against half of them for noise added after scaling
+    s = np.array([-2.0, 0.0])
+    n, sigma = 200, 0.5
+    rows = classified_rows(m, monkeypatch)
+    c = share(m, s, "aleatoric", n=n, sigma=sigma, scaler=scaler, base_seed=(6,))
+    eps = np.random.default_rng((6,)).standard_normal((n - 1, 2))
+    noisy = scaler.transform(np.vstack([s, s + eps * sigma]))
+    (z,) = rows
+    assert np.array_equal(z, m.encode_values(noisy)[0])
+    assert 0.0 < c < 0.1
+    assert c == float(np.argmax(m.classify_values(z), axis=1).mean())
 
 
 # -- records ----------------------------------------------------------------------
@@ -185,20 +194,6 @@ def test_uncertainty_records_full_split():
 
 
 # -- chunked records against per-sample loops ---------------------------------------
-
-def per_sample_records(model, split, kind, scaler, n, sigma, base_seed):
-    """The single-sample estimators, reading one stream in sample order."""
-    rng = np.random.default_rng(base_seed)
-    shares = []
-    for x in split.test.x:
-        if kind == "epistemic":
-            x = x if scaler is None else scaler.transform(x[None, :])[0]
-            est = epistemic(model, x, n=n, rng=rng)
-        else:
-            est = aleatoric(model, x, n=n, sigma=sigma, rng=rng, scaler=scaler)
-        shares.append(est.c_positive)
-    return predictions_from_shares(np.array(shares), split.test.g)
-
 
 def unbatched_vote_shares(model, split, kind, scaler, n, sigma, base_seed):
     """Positive-vote shares from one forward pass per sample, sharing no code
@@ -238,12 +233,11 @@ def test_uncertainty_records_match_per_sample_loops(kind, sigma, n, scaled):
     sigma = 0.1 * 1.0 if sigma is None else sigma   # the suite's, at separation 1.0
     got = uncertainty_records(m, split.test, kind, scaler=scaler, n=n, sigma=sigma,
                               base_seed=base)
-    want = per_sample_records(m, split, kind, scaler, n, sigma, base)
+    shares = unbatched_vote_shares(m, split, kind, scaler, n, sigma, base)
+    want = predictions_from_shares(np.array(shares), split.test.g)
     assert len(got) == len(want) == len(split.test)
     for field in ("conf", "predicted", "g", "correct", "probs"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
-    shares = got.probs[:, 1].tolist()
-    assert shares == unbatched_vote_shares(m, split, kind, scaler, n, sigma, base)
     if n > 1 and sigma > 0:
         assert any(0.0 < c < 1.0 for c in shares)   # the draws reached the votes
 
