@@ -1,7 +1,7 @@
 """Experiment orchestration: config, training loops, grid search, suite runs."""
 
 from .config import ExperimentConfig, config_hash
-from .training import EpochEntry, EpochHistory, evaluate_records, select_model, train
+from .training import EpochEntry, EpochHistory, evaluate_records, train
 
 __all__ = [
     "ExperimentConfig",
@@ -9,6 +9,5 @@ __all__ = [
     "EpochEntry",
     "EpochHistory",
     "evaluate_records",
-    "select_model",
     "train",
 ]

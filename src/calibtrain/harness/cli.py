@@ -23,12 +23,12 @@ from pathlib import Path
 from ..losses import STRATEGIES, LossSpec
 from ..metrics import Bin, BinTable
 from ..model import VaeClassifier, save_checkpoint
-from .config import CRITERIA, ExperimentConfig, config_hash, criterion_value
+from .config import CRITERIA, ExperimentConfig
 from .grid import grid_search
 from .suite import (HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split, history_rows,
                     reliability_title, run_suite, write_csv)
 from .svg import write_reliability_svg
-from .training import select_model, train
+from .training import train
 
 
 def _parse_value(raw: str):
@@ -51,16 +51,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             data["seeds"] = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ValueError(f"--seeds expects comma-separated integers, "
                              f"got {args.seeds!r}") from None
-    if getattr(args, "strategy", None):
-        loss = dict(data.get("loss", {}))
-        loss["strategy"] = args.strategy
-        data["loss"] = loss
+    loss = data.get("loss", {})
+    if getattr(args, "strategy", None) and isinstance(loss, dict):   # else the config refuses it
+        data["loss"] = {**loss, "strategy": args.strategy}
     if getattr(args, "out", None):
         data["out_dir"] = args.out
     return ExperimentConfig.from_dict(data)
@@ -86,15 +85,15 @@ def cmd_train(args) -> int:
               f"({len(history.entries)} epochs kept)", file=sys.stderr)
         return 1
     for criterion in CRITERIA:
-        entry, params = select_model(history, criterion)
+        best = history.best[criterion]
         model = VaeClassifier(d=config.d, hidden=config.hidden,
                               latent=config.latent, seed=seed)
-        model.params.load_values(params)
-        save_checkpoint(model, out / "checkpoints" / criterion, epoch=entry.epoch,
+        model.params.load_values(best["params"])
+        save_checkpoint(model, out / "checkpoints" / criterion, epoch=best["epoch"],
                         extra={"criterion": criterion, "strategy": spec.strategy,
-                               "seed": seed})
-        print(f"{criterion}: epoch {entry.epoch} "
-              f"(validation value {criterion_value(criterion, entry):.4f})")
+                               "seed": seed, "config": config.to_dict()})
+        print(f"{criterion}: epoch {best['epoch']} "
+              f"(validation value {best['value']:.4f})")
     print(f"history and checkpoints in {out}")
     return 0
 
@@ -120,7 +119,7 @@ def cmd_grid(args) -> int:
         rows.append(row)
     write_csv(out / "grid.csv", keys + ["fold0", "fold1", "mean", "failed"], rows)
     best = {k: getattr(result.best, k) for k in keys}
-    print(f"best cell under {result.criterion}: {best}")
+    print(f"best cell under {config.criterion}: {best}")
     print(f"per-cell table in {out / 'grid.csv'}")
     return 0
 

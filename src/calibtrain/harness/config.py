@@ -96,13 +96,9 @@ class ExperimentConfig:
                                  f"got {getattr(self, name)!r}")
         if not all(isinstance(entry, dict) for entry in self.suite):
             raise ValueError(f"suite entries must be JSON objects, got {self.suite!r}")
-        for name in ("d", "hidden", "latent"):
+        for name in ("d", "hidden", "latent", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_vae <= 0 or self.lr_classifier <= 0:
             raise ValueError("learning rates must be positive")
         if self.criterion not in CRITERIA:
@@ -153,13 +149,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def resolve_out_dir(self, override: str | None = None) -> Path:
         out = Path(override) if override else Path(self.out_dir)

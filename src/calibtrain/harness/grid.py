@@ -17,8 +17,8 @@ import numpy as np
 
 from ..data import DataSplit
 from ..losses import STRATEGIES, LossSpec
-from .config import ExperimentConfig, beats, criterion_value
-from .training import select_model, train
+from .config import ExperimentConfig, beats
+from .training import train
 
 log_ = logging.getLogger(__name__)
 
@@ -35,7 +35,6 @@ class GridCell:
 class GridResult:
     cells: list[GridCell]
     best: LossSpec
-    criterion: str
 
 
 def _fold_splits(split: DataSplit, data_seed: int) -> list[DataSplit]:
@@ -65,11 +64,10 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
         failed = False
         for fold in folds:
             history = train(config, fold, seed=seed, spec=spec)
-            if history.failed or not history.entries:
+            if history.failed:
                 failed = True
                 break
-            entry, _ = select_model(history, config.criterion)
-            fold_scores.append(criterion_value(config.criterion, entry))
+            fold_scores.append(history.best[config.criterion]["value"])
         mean_score = float("nan") if failed else float(np.mean(fold_scores))
         cells.append(GridCell(values=values, fold_scores=fold_scores,
                               mean_score=mean_score, failed=failed))
@@ -82,4 +80,4 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
         if beats(config.criterion, cell.mean_score, winner.mean_score):
             winner = cell
     best = dataclasses.replace(base, **winner.values)
-    return GridResult(cells=cells, best=best, criterion=config.criterion)
+    return GridResult(cells=cells, best=best)

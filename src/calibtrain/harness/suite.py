@@ -49,7 +49,7 @@ from ..uncertainty import uncertainty_records
 from .config import CRITERIA, ExperimentConfig, config_hash
 from .pool import map_cells
 from .svg import write_reliability_svg
-from .training import evaluate_records, select_model, train
+from .training import evaluate_records, train
 
 METRIC_COLUMNS = ("ece", "aece", "oe", "mce", "bs", "sen", "spe", "bacc")
 HISTORY_COLUMNS = ("epoch", "train_loss", "val_bacc", "val_ece")
@@ -141,20 +141,20 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
                       metrics={}, test_records={})
     history = train(config, split, seed=seed, spec=spec)
     cell.epochs = history_rows(history)
-    if history.failed or not history.entries:
+    if history.failed:
         cell.failed = True
-        cell.failure = history.failure or "no epochs completed"
+        cell.failure = history.failure
         return cell
     # epoch -> (metric rows, softmax records); an epoch that both criteria
     # select is evaluated once and shared
     evaluated = {}
     for criterion in CRITERIA:
-        entry, params = select_model(history, criterion)
-        cell.selected_epoch[criterion] = entry.epoch
-        if entry.epoch not in evaluated:
+        best = history.best[criterion]
+        epoch = cell.selected_epoch[criterion] = best["epoch"]
+        if epoch not in evaluated:
             model = VaeClassifier(d=config.d, hidden=config.hidden,
                                   latent=config.latent, seed=seed)
-            model.params.load_values(params)
+            model.params.load_values(best["params"])
             softmax_records = evaluate_records(model, x_test, g_test)
             epi = uncertainty_records(model, split.test, "epistemic", scaler=scaler,
                                       n=config.n_uncertainty, base_seed=(seed, 3))
@@ -162,12 +162,12 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
             ale = uncertainty_records(model, split.test, "aleatoric", scaler=scaler,
                                       n=config.n_uncertainty, sigma=0.1 * config.separation,
                                       base_seed=(seed, 4))
-            evaluated[entry.epoch] = ({
+            evaluated[epoch] = ({
                 "softmax": metric_row(softmax_records),
                 "epistemic": metric_row(epi),
                 "aleatoric": metric_row(ale),
             }, softmax_records)
-        cell.metrics[criterion], cell.test_records[criterion] = evaluated[entry.epoch]
+        cell.metrics[criterion], cell.test_records[criterion] = evaluated[epoch]
     return cell
 
 
@@ -190,7 +190,7 @@ def _timed_cell(config: ExperimentConfig, split: DataSplit, scaler: FeatureScale
 
 # the functions of other layers that a cell looks up in this module, as imported
 _CELL_CALLS = {name: globals()[name] for name in (
-    "train", "select_model", "evaluate_records", "uncertainty_records",
+    "train", "evaluate_records", "uncertainty_records",
     "classification_metrics", "ece", "aece", "oe", "mce", "brier")}
 
 

@@ -40,7 +40,8 @@ class EpochEntry:
 @dataclass
 class EpochHistory:
     entries: list[EpochEntry] = field(default_factory=list)
-    # criterion -> {"epoch": int, "value": float, "params": {name: array}}
+    # the selection: criterion -> {"epoch": int, "value": float, "params":
+    # {name: array}}, set for every criterion once an epoch is recorded
     best: dict = field(default_factory=dict)
     failed: bool = False
     failure: str | None = None
@@ -53,21 +54,6 @@ class EpochHistory:
             if cur is None or beats(criterion, value, cur["value"]):
                 self.best[criterion] = {"epoch": entry.epoch, "value": value,
                                         "params": params_snapshot()}
-
-
-def select_model(history: EpochHistory, criterion: str):
-    """The best epoch under the criterion, as ``history.record`` kept it
-    (strict improvement, so ties go to the earliest epoch).
-
-    Returns (EpochEntry, params). Raises on an empty history.
-    """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if not history.entries:
-        raise ValueError("cannot select a model from an empty history")
-    best = history.best[criterion]
-    entry = next(e for e in history.entries if e.epoch == best["epoch"])
-    return entry, best["params"]
 
 
 def evaluate_records(model: VaeClassifier, xs: np.ndarray,

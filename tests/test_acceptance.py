@@ -18,7 +18,6 @@ from calibtrain.harness import (
     EpochEntry,
     EpochHistory,
     ExperimentConfig,
-    select_model,
     train,
 )
 from calibtrain.harness.suite import run_suite
@@ -361,10 +360,9 @@ def test_criterion_7_model_selection_study(tmp_path):
         h = EpochHistory()
         h.record(EpochEntry(0, 1.0, 0.90, 0.30), lambda: {"tag": np.array([0.0])})
         h.record(EpochEntry(1, 0.9, 0.70, 0.05), lambda: {"tag": np.array([1.0])})
-        by_bacc, params_bacc = select_model(h, "max-val-bacc")
-        by_ece, params_ece = select_model(h, "min-val-ece")
-        assert by_bacc.epoch == 0 and by_ece.epoch == 1
-        assert params_bacc["tag"][0] != params_ece["tag"][0]
+        by_bacc, by_ece = h.best["max-val-bacc"], h.best["min-val-ece"]
+        assert by_bacc["epoch"] == 0 and by_ece["epoch"] == 1
+        assert by_bacc["params"]["tag"][0] != by_ece["params"]["tag"][0]
 
         # the suite reports every strategy under both criteria
         cfg = ExperimentConfig(
@@ -401,9 +399,8 @@ def test_criterion_8_uncertainty_estimators():
                                           positive_fraction=cfg.positive_fraction,
                                           seed=cfg.data_seed)
         history = train(cfg, split, seed=0)
-        entry, params = select_model(history, "max-val-bacc")
         model = VaeClassifier(d=cfg.d, hidden=cfg.hidden, latent=cfg.latent, seed=0)
-        model.params.load_values(params)
+        model.params.load_values(history.best["max-val-bacc"]["params"])
         scaler = FeatureScaler().fit(features(split.train))
 
         def share(i, n, stream):

@@ -18,12 +18,11 @@ from calibtrain.harness import (
     EpochHistory,
     ExperimentConfig,
     config_hash,
-    select_model,
     train,
 )
 from calibtrain.harness import cli, pool, suite, training
 from calibtrain.harness.cli import main
-from calibtrain.harness.config import DEFAULT_SUITE
+from calibtrain.harness.config import CRITERIA, DEFAULT_SUITE, criterion_value
 from calibtrain.harness.grid import grid_search
 from calibtrain.harness.suite import run_suite
 from calibtrain.harness.training import AVUC_WARMUP_EPOCHS
@@ -67,13 +66,6 @@ def test_config_hash_changes_with_fields():
     a = tiny_config()
     b = tiny_config(epochs=3)
     assert config_hash(a) != config_hash(b)
-
-
-def test_config_json_round_trip(tmp_path):
-    cfg = tiny_config()
-    path = tmp_path / "config.json"
-    cfg.to_json(path)
-    assert ExperimentConfig.from_json(path) == cfg
 
 
 @pytest.mark.parametrize("bad", [
@@ -163,12 +155,10 @@ def test_train_two_runs_identical():
     assert [e.__dict__ for e in h1.entries] == [e.__dict__ for e in h2.entries]
 
 
-def test_train_zero_epochs_empty_history():
-    cfg = tiny_config(epochs=0)
-    history = train(cfg, tiny_split(cfg), seed=0)
-    assert history.entries == []
-    with pytest.raises(ValueError, match="empty history"):
-        select_model(history, "max-val-bacc")
+def test_config_rejects_zero_epochs():
+    # a run that records no epoch would have nothing to select
+    with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+        tiny_config(epochs=0)
 
 
 def test_conf_weight_one_matches_baseline_history():
@@ -230,11 +220,13 @@ def test_train_records_best_per_criterion():
     cfg = tiny_config(epochs=3)
     history = train(cfg, tiny_split(cfg), seed=0)
     assert len(history.entries) == 3
-    for criterion in ("max-val-bacc", "min-val-ece"):
-        entry, params = select_model(history, criterion)
-        assert params is not None
+    for criterion in CRITERIA:
+        values = [criterion_value(criterion, e) for e in history.entries]
+        want = max(values) if criterion == "max-val-bacc" else min(values)
         stored = history.best[criterion]
-        assert stored["epoch"] == entry.epoch
+        assert stored["epoch"] == values.index(want)
+        assert stored["value"] == want
+        assert stored["params"] is not None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -261,26 +253,19 @@ def crossed_history():
 
 def test_crossed_rankings_select_different_checkpoints():
     h = crossed_history()
-    by_bacc, params_bacc = select_model(h, "max-val-bacc")
-    by_ece, params_ece = select_model(h, "min-val-ece")
-    assert by_bacc.epoch == 0
-    assert by_ece.epoch == 1
-    assert params_bacc["w"][0] != params_ece["w"][0]
+    by_bacc, by_ece = h.best["max-val-bacc"], h.best["min-val-ece"]
+    assert by_bacc["epoch"] == 0
+    assert by_ece["epoch"] == 1
+    assert by_bacc["params"]["w"][0] != by_ece["params"]["w"][0]
 
 
 def test_selection_ties_go_to_earliest_epoch():
     h = EpochHistory()
     for epoch in range(3):
         h.record(EpochEntry(epoch, 1.0, 0.8, 0.1), lambda: {})
-    for criterion in ("max-val-bacc", "min-val-ece"):
-        entry, params = select_model(h, criterion)
-        assert entry.epoch == 0
-        assert params is not None
-
-
-def test_select_model_rejects_unknown_criterion():
-    with pytest.raises(ValueError, match="criterion"):
-        select_model(crossed_history(), "max-test-acc")
+    for criterion in CRITERIA:
+        assert h.best[criterion]["epoch"] == 0
+        assert h.best[criterion]["params"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +523,19 @@ def test_suite_failed_report_write_leaves_no_manifest(tmp_path, monkeypatch):
 
 def test_cli_train_and_checkpoints(tmp_path, capsys):
     out = tmp_path / "train"
-    code = main(["train", "--out", str(out), "--set", "sizes=[80,40,40]",
-                 "--epochs", "2", "--batch-size", "20", "--seeds", "0",
-                 "--strategy", "probability"])
-    assert code == 0
+    argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]",
+            "--epochs", "2", "--batch-size", "20", "--seeds", "0",
+            "--strategy", "probability"]
+    assert main(argv) == 0
     history = (out / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,train_loss,val_bacc,val_ece"
     assert len(history) == 3
+    resolved = cli.load_config(cli.build_parser().parse_args(argv))
     for criterion in ("max-val-bacc", "min-val-ece"):
         assert (out / "checkpoints" / criterion / "params.bin").exists()
+        # the manifest names the config, and so the split and scaler, it came from
+        manifest = json.loads((out / "checkpoints" / criterion / "manifest.json").read_text())
+        assert ExperimentConfig.from_dict(manifest["extra"]["config"]) == resolved
     assert "max-val-bacc: epoch" in capsys.readouterr().out
 
 
@@ -673,6 +662,11 @@ def test_cli_bad_inputs(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and problem in err[0]
         assert not out.exists()
+    # --strategy leaves a loss that is not a JSON object to the config's error
+    for loss in ("5", "[1,2]", "abc"):
+        assert main(["train", "--set", f"loss={loss}", "--strategy", "mmce"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: loss must be a JSON dict, got ")
     # the retired split export is an unknown subcommand
     with pytest.raises(SystemExit) as exit_info:
         main(["generate-data"])
@@ -708,6 +702,8 @@ def test_cli_bad_inputs(tmp_path, capsys):
     (["train", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
     (["grid", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
     (["suite", "--seeds", "0", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
+    # an empty list, which the config's own seeds must not fill in
+    (["suite", "--seeds", ""], "--seeds expects comma-separated integers, got ''"),
 ])
 def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     out = tmp_path / "run"
@@ -716,6 +712,15 @@ def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     assert main(argv + ["--out", str(out), *epochs]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and problem in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "suite", "grid"])
+def test_cli_rejects_zero_epochs_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command, "--epochs", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: epochs must be >= 1, got 0"]
     assert not out.exists()
 
 
