@@ -52,7 +52,8 @@ def backward(loss) -> None:
 class Param:
     """A trainable array whose ``value`` and ``grad`` are views into its
     :class:`ParamSet`'s buffers. In-place writes to either reach the
-    buffer; assigning either copies into the view."""
+    buffer; assigning ``value`` copies into its view, and ``grad`` cannot
+    be assigned."""
 
     __slots__ = ("_value", "_grad")
 
@@ -66,23 +67,15 @@ class Param:
 
     @value.setter
     def value(self, new) -> None:
-        self._value[...] = _conforming(new, self._value.shape, "value")
+        new = _as_array(new)
+        if new.shape != self._value.shape:
+            raise ShapeMismatch(f"parameter value of shape {new.shape} for a parameter "
+                                f"of shape {self._value.shape}")
+        self._value[...] = new
 
     @property
     def grad(self) -> np.ndarray:
         return self._grad
-
-    @grad.setter
-    def grad(self, new) -> None:
-        self._grad[...] = _conforming(new, self._grad.shape, "grad")
-
-
-def _conforming(new, shape: tuple, what: str) -> np.ndarray:
-    new = _as_array(new)
-    if new.shape != shape:
-        raise ShapeMismatch(f"parameter {what} of shape {new.shape} for a parameter "
-                            f"of shape {shape}")
-    return new
 
 
 class ParamSet:

@@ -38,10 +38,21 @@ def _parse_value(raw: str):
         return raw
 
 
+def _read_json(path: Path):
+    """A JSON file's value; ValueError names the file."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as err:        # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not JSON ({err})") from None
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        data = _read_json(Path(args.config))
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object, "
+                             f"got {type(data).__name__}")
     for item in args.set or []:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -169,7 +180,7 @@ def cmd_report(args) -> int:
     if not manifest_path.exists():
         print(f"no manifest.json under {run}", file=sys.stderr)
         return 1
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json(manifest_path)
     try:
         header = f"config hash {manifest['config_hash']}, seeds {manifest['seeds']}"
         failed = [f"  {c['strategy']} seed {c['seed']}: {c['failure']}"
@@ -286,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

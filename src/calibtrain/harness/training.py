@@ -106,7 +106,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
             for b, start in enumerate(range(0, n, config.batch_size)):
                 idx = order[start:start + config.batch_size]
                 xb, gb = x_train[idx], g_train[idx]
-                out = model.forward(xb, rng=rng, sample_latent=True)
+                out = model.forward(xb, rng)
                 conf = None
                 if votes:
                     conf = epistemic_batch(model, xb, n=config.n_uncertainty,

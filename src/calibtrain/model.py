@@ -63,8 +63,8 @@ class ForwardResult:
     x: np.ndarray = field(repr=False)
     h_enc: np.ndarray = field(repr=False)
     raw_logvar: np.ndarray = field(repr=False)   # before the clamp
-    eps: np.ndarray | None = field(repr=False)   # the latent draw; None when z is mu
-    sigma: np.ndarray | None = field(repr=False)
+    eps: np.ndarray = field(repr=False)          # the latent draw
+    sigma: np.ndarray = field(repr=False)
     h_dec: np.ndarray = field(repr=False)
     h_clf: np.ndarray = field(repr=False)
 
@@ -126,10 +126,9 @@ def _tanh_backward(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g * (1.0 - t * t)
 
 
-def _in_order(parts) -> np.ndarray | None:
+def _in_order(parts) -> np.ndarray:
     """((p0 + p1) + p2) + ...: cotangents summed left to right, as an
-    autodiff graph sums them where they meet. None parts are skipped, and
-    no parts give None."""
+    autodiff graph sums them where they meet. None parts are skipped."""
     total = None
     for part in parts:
         if part is not None:
@@ -205,21 +204,21 @@ class VaeClassifier:
 
     # -- training -----------------------------------------------------------
 
-    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None,
-                sample_latent: bool = False) -> ForwardResult:
+    def forward(self, x: np.ndarray, rng: np.random.Generator, *,
+                sample_latent: bool = True) -> ForwardResult:
+        """One training pass, through the reparameterised draw
+        z = mu + sigma * eps with eps from ``rng``. ``sample_latent`` accepts
+        only True; a pass at z = mu is ``predict_probs``'s."""
+        if sample_latent is not True:
+            raise ValueError(f"forward always draws the latent, got sample_latent="
+                             f"{sample_latent!r}; predict_probs evaluates at z = mu")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ValueError(f"expected input of shape (n, {self.d}), got {x.shape}")
-        if sample_latent and rng is None:
-            raise ValueError("sample_latent=True requires an rng")
         h, mu, raw, lv = self._encode(x)
-        eps = sigma = None
-        if sample_latent:
-            eps = rng.standard_normal(mu.shape)
-            sigma = np.exp(lv * 0.5)
-            z = mu + sigma * eps
-        else:
-            z = mu
+        eps = rng.standard_normal(mu.shape)
+        sigma = np.exp(lv * 0.5)
+        z = mu + sigma * eps
         hd, xhat = self._decode(z)
         hc, probs = self._classify(z)
         return ForwardResult(xhat=xhat, mu_z=mu, logvar_z=lv, z=z, probs=probs, model=self,
@@ -246,25 +245,20 @@ class VaeClassifier:
                                                p["clf.w1"], p["clf.b1"])
 
         kl_mu, kl_lv = kl_parts if kl_parts is not None else ((), ())
-        if result.eps is None:
-            g_mu = _in_order([from_decoder, *kl_mu, from_classifier])
-            g_lv = _in_order(kl_lv)
+        g_z = _in_order([from_decoder, from_classifier])
+        latent_mu, latent_lv = g_z, g_z * result.eps * result.sigma * 0.5
+        if g_probs is None:       # no term on probs: the graph walks z before KL
+            g_mu, g_lv = _in_order([latent_mu, *kl_mu]), _in_order([latent_lv, *kl_lv])
         else:
-            g_z = _in_order([from_decoder, from_classifier])
-            latent_mu, latent_lv = g_z, g_z * result.eps * result.sigma * 0.5
-            if g_probs is None:       # no term on probs: the graph walks z before KL
-                g_mu, g_lv = _in_order([latent_mu, *kl_mu]), _in_order([latent_lv, *kl_lv])
-            else:
-                g_mu, g_lv = _in_order([*kl_mu, latent_mu]), _in_order([*kl_lv, latent_lv])
+            g_mu, g_lv = _in_order([*kl_mu, latent_mu]), _in_order([*kl_lv, latent_lv])
 
         h = result.h_enc
         g_h = _affine_backward(g_mu, h, p["enc.w_mu"], p["enc.b_mu"])
-        if g_lv is not None:
-            # raw > bound has the sign of raw - bound: the difference is exact
-            # near the bound (Sterbenz), so these are the clamp's relu masks
-            raw = result.raw_logvar
-            g_raw = g_lv * (raw > LOGVAR_MIN) + (-g_lv) * (raw > LOGVAR_MAX)
-            g_h = g_h + _affine_backward(g_raw, h, p["enc.w_lv"], p["enc.b_lv"])
+        # raw > bound has the sign of raw - bound: the difference is exact
+        # near the bound (Sterbenz), so these are the clamp's relu masks
+        raw = result.raw_logvar
+        g_raw = g_lv * (raw > LOGVAR_MIN) + (-g_lv) * (raw > LOGVAR_MAX)
+        g_h = g_h + _affine_backward(g_raw, h, p["enc.w_lv"], p["enc.b_lv"])
         _affine_backward(_tanh_backward(g_h, h), result.x, p["enc.w1"], p["enc.b1"],
                          to_input=False)
 
@@ -332,7 +326,10 @@ def load_checkpoint(in_dir: str | Path) -> tuple[VaeClassifier, dict]:
     """A checkpoint's model and manifest. The manifest must give the layout of
     a model of its dims, whose parameter buffer the blob then fills."""
     src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
+    try:
+        manifest = json.loads((src / "manifest.json").read_text())
+    except ValueError as err:        # not UTF-8, or not JSON
+        raise ValueError(f"checkpoint {src}: manifest.json is not JSON ({err})") from None
     try:
         dims = manifest["dims"]
         model = VaeClassifier(d=dims["d"], hidden=dims["hidden"], latent=dims["latent"],

@@ -118,8 +118,8 @@ def uncertainty_records(model: VaeClassifier, test: Subset, kind: str,
     return predictions_from_shares(preds.sum(axis=1) / n, test.g)
 
 
-def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int,
+                    rng: np.random.Generator) -> np.ndarray:
     """c_positive per row of xs, sharing one rng across the batch.
 
     Used during confidence-weight training, where each batch draws its C_i
@@ -128,8 +128,6 @@ def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int = 20,
     (n - 1, b, latent) draw; the votes go through the same chunked loop as
     ``uncertainty_records``.
     """
-    if n > 1 and rng is None:
-        raise ValueError("latent sampling requires an rng")
     xs = np.asarray(xs, dtype=np.float64)
     eps = rng.standard_normal((n - 1, len(xs), model.latent)) if n > 1 else None
     draw = lambda start, stop: None if eps is None else eps[:, start:stop].swapaxes(0, 1)

@@ -750,17 +750,39 @@ def _graph_classify(params, z):
     return softmax(matmul(h, params["clf.w2"]) + params["clf.b2"])
 
 
-def graph_vae_forward(model, x, rng=None, sample_latent=False) -> GraphForward:
-    """``model.forward`` as one autodiff node per operation."""
+def graph_vae_forward(model, x, rng=None) -> GraphForward:
+    """``model.forward`` as one autodiff node per operation, the latent drawn
+    from ``rng``. Without an rng, the graph of the evaluation pass at z = mu,
+    which ``predict_probs`` and ``encode_values`` must match."""
     params = {name: ParamLeaf(p) for name, p in model.params.items()}
     mu, lv = _graph_encode(params, constant(np.asarray(x, dtype=np.float64)))
-    if sample_latent:
+    if rng is not None:
         eps = constant(rng.standard_normal(mu.value.shape))
         z = mu + exp(lv * 0.5) * eps
     else:
         z = mu
     return GraphForward(xhat=_graph_decode(params, z), mu_z=mu, logvar_z=lv,
                         z=z, probs=_graph_classify(params, z))
+
+
+class FixedDraw:
+    """Stands in for a Generator, replaying one fixed standard-normal draw.
+    ``FixedDraw(0.0)`` draws zeros of any shape, which puts the training
+    forward's latent z = mu + sigma * eps at its mean."""
+
+    def __init__(self, draw):
+        self.draw = np.asarray(draw, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        assert self.draw.ndim == 0 or shape == self.draw.shape
+        return np.broadcast_to(self.draw, shape).copy()
+
+
+def latent_rng(draw: str, seed: int):
+    """What a bitwise check's training forward draws its latent from: a
+    seeded Generator for ``"sampled"``, and for ``"mean"`` a zero draw, where
+    the latent's cotangent reaches logvar as signed zeros."""
+    return np.random.default_rng(seed) if draw == "sampled" else FixedDraw(0.0)
 
 
 # ---------------------------------------------------------------------------

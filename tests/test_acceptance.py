@@ -43,6 +43,7 @@ from calibtrain.model import VaeClassifier
 from calibtrain.uncertainty import uncertainty_records
 from oracles import (
     FD_STEP,
+    FixedDraw,
     brute_brier,
     brute_classification,
     brute_ece,
@@ -136,8 +137,8 @@ FD_SPECS = [
 ]
 
 
-def _composite(model, x, g, spec):
-    out = model.forward(x, rng=None, sample_latent=False)
+def _composite(model, x, g, spec, latent):
+    out = model.forward(x, latent)
     loss, _ = total_loss(x, out, g, spec)
     return loss
 
@@ -155,8 +156,11 @@ def test_criterion_2_gradient_integrity():
                 for _, node in model.params.items():
                     node.value += rng.normal(0.0, 0.2, node.value.shape)
                 x = rng.uniform(0.05, 0.95, (6, 4))
+                # one latent draw for the gradient and both shifted losses
+                latent = FixedDraw(np.random.default_rng((202, si, draw, 1))
+                                   .standard_normal((6, 3)))
 
-                loss = _composite(model, x, g, spec)
+                loss = _composite(model, x, g, spec, latent)
                 model.params.zero_grad()
                 backward(loss)
                 names = model.params.names()
@@ -169,9 +173,9 @@ def test_criterion_2_gradient_integrity():
                     idx = int(rng.integers(arr.size))
                     orig = arr.flat[idx]
                     arr.flat[idx] = orig + FD_STEP
-                    up = float(_composite(model, x, g, spec).value)
+                    up = float(_composite(model, x, g, spec, latent).value)
                     arr.flat[idx] = orig - FD_STEP
-                    dn = float(_composite(model, x, g, spec).value)
+                    dn = float(_composite(model, x, g, spec, latent).value)
                     arr.flat[idx] = orig
                     fd = (up - dn) / (2.0 * FD_STEP)
                     worst = max(worst, rel_error(fd, grads[nm].flat[idx]))
@@ -283,12 +287,13 @@ def test_criterion_5_degeneracy_equivalences():
             node.value += rng.normal(0.0, 0.2, node.value.shape)
         x = rng.uniform(0.05, 0.95, (10, 4))
         g = np.array([0, 1] * 5)
-        out = model.forward(x, rng=None, sample_latent=False)
+        latent = FixedDraw(np.random.default_rng(506).standard_normal((10, 3)))
+        out = model.forward(x, latent)
         base_loss, _ = total_loss(x, out, g, LossSpec(
             strategy="baseline", lambda_kl=0.01, lambda_c=2.0))
         for strategy in ("paired_confidence", "probability", "avuc",
                          "soft_ece", "mmce"):
-            out_s = model.forward(x, rng=None, sample_latent=False)
+            out_s = model.forward(x, latent)
             loss, _ = total_loss(x, out_s, g, LossSpec(
                 strategy=strategy, lambda_kl=0.01, lambda_c=2.0, lambda_n=0.0))
             assert loss.value == base_loss.value, strategy

@@ -158,7 +158,7 @@ class TestAdam:
         ps = ad.ParamSet({"w": np.array(5.0)})
         w = ps["w"]
         opt = ad.Adam(ps, lr=0.1)
-        w.grad = np.array(1.0)
+        w.grad[...] = 1.0
         opt.step()
         expected = 5.0 - 0.1 / (1.0 + 1e-8)
         assert abs(float(w.value) - expected) < 1e-15
@@ -170,7 +170,7 @@ class TestAdam:
         opt = ad.Adam(ps, lr=0.05)
         prev = float(w.value)
         for _ in range(5):
-            w.grad = np.array(1.0)
+            w.grad[...] = 1.0
             opt.step()
             assert float(w.value) < prev
             prev = float(w.value)
@@ -182,7 +182,7 @@ class TestAdam:
             opt = ad.Adam(ps)
             bad = np.ones(ps[name].value.shape)
             bad.flat[-1] = np.nan if name != "enc.b1" else -np.inf
-            ps[name].grad = bad
+            ps[name].grad[...] = bad
             with pytest.raises(ad.NonFiniteGradient) as err:
                 opt.step()
             assert str(err.value) == f"non-finite gradient in parameter {name!r}"
@@ -192,8 +192,8 @@ class TestAdam:
         ps = ad.ParamSet({"enc.w": np.array(0.0), "clf.w": np.array(0.0)})
         a, b = ps["enc.w"], ps["clf.w"]
         opt = ad.Adam(ps, lr=0.1, lr_overrides={"clf.": 0.01})
-        a.grad = np.array(1.0)
-        b.grad = np.array(1.0)
+        a.grad[...] = 1.0
+        b.grad[...] = 1.0
         opt.step()
         assert abs(float(a.value) + 0.1 / (1 + 1e-8)) < 1e-15
         assert abs(float(b.value) + 0.01 / (1 + 1e-8)) < 1e-15
@@ -207,11 +207,14 @@ def test_paramset_views_share_one_buffer():
     assert np.array_equal(ps.flat, [1.0, 2.0, 3.0, 4.0, 5.0])
     a.value[1] = 20.0
     b.value = np.array([[30.0], [40.0]])
-    c.grad = np.array(7.0)
+    c.grad[...] = 7.0
     assert np.array_equal(ps.flat, [1.0, 20.0, 30.0, 40.0, 5.0])
     assert np.array_equal(ps.grad, [0.0, 0.0, 0.0, 0.0, 7.0])
     with pytest.raises(ad.ShapeMismatch):
         b.value = np.zeros(2)
+    with pytest.raises(AttributeError):     # rebinding would detach it from ps.grad
+        c.grad = np.array(8.0)
+    assert ps.grad[-1] == 7.0
     snapshot = ps.copy_values()
     a.value[0] = -1.0
     assert snapshot["a"][0] == 1.0

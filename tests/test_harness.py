@@ -20,7 +20,7 @@ from calibtrain.harness import (
     config_hash,
     train,
 )
-from calibtrain.harness import cli, pool, suite, training
+from calibtrain.harness import cli, grid, pool, suite, training
 from calibtrain.harness.cli import main
 from calibtrain.harness.config import CRITERIA, DEFAULT_SUITE, criterion_value
 from calibtrain.harness.grid import grid_search
@@ -239,6 +239,54 @@ def test_train_abort_keeps_partial_history():
     assert isinstance(history.entries, list)
 
 
+def _spy_total_loss(monkeypatch, edit):
+    """Route training's loss through ``edit(call, loss, batch)``, where call
+    counts the batches trained so far; four batches make a tiny epoch."""
+    real_total_loss = training.total_loss
+    calls = []
+
+    def spy(*args, **kwargs):
+        loss, batch = real_total_loss(*args, **kwargs)
+        calls.append(kwargs["avuc_threshold"])
+        return edit(len(calls) - 1, loss, batch)
+
+    monkeypatch.setattr(training, "total_loss", spy)
+    return calls
+
+
+def test_train_non_finite_loss_aborts_and_keeps_earlier_epochs(monkeypatch):
+    def nan_at_epoch_1_batch_2(call, loss, batch):
+        if call == 4 + 2:
+            loss.value = np.float64(np.nan)
+        return loss, batch
+
+    _spy_total_loss(monkeypatch, nan_at_epoch_1_batch_2)
+    cfg = tiny_config(epochs=3)
+    history = train(cfg, tiny_split(cfg), seed=0)
+    assert history.failed
+    assert history.failure == "non-finite loss at epoch 1 batch 2"
+    assert [e.epoch for e in history.entries] == [0]
+    assert all(best["epoch"] == 0 for best in history.best.values())
+
+
+def test_avuc_epoch_without_a_correct_prediction_keeps_the_threshold(monkeypatch):
+    wrong_epoch = AVUC_WARMUP_EPOCHS + 1
+
+    def none_correct_in_one_epoch(call, loss, batch):
+        if call // 4 == wrong_epoch:
+            batch = dataclasses.replace(batch, correct=np.zeros_like(batch.correct))
+        return loss, batch
+
+    thresholds = _spy_total_loss(monkeypatch, none_correct_in_one_epoch)
+    cfg = tiny_config(epochs=wrong_epoch + 2, loss={"strategy": "avuc"})
+    assert not train(cfg, tiny_split(cfg), seed=0).failed
+    per_epoch = [set(thresholds[e * 4:(e + 1) * 4]) for e in range(cfg.epochs)]
+    assert per_epoch[:AVUC_WARMUP_EPOCHS] == [{1.0}] * AVUC_WARMUP_EPOCHS
+    (learned,) = per_epoch[wrong_epoch]
+    assert 0.0 < learned < 1.0
+    assert per_epoch[wrong_epoch + 1] == {learned}
+
+
 # ---------------------------------------------------------------------------
 # model selection
 # ---------------------------------------------------------------------------
@@ -311,6 +359,25 @@ def test_grid_ties_go_to_first_cell(criterion):
     result = grid_search(cfg, tiny_split(cfg))
     assert len({c.mean_score for c in result.cells}) == 1
     assert result.best.margin == 0.6
+
+
+@pytest.mark.parametrize("criterion", ["max-val-bacc", "min-val-ece"])
+def test_grid_later_cell_wins(monkeypatch, criterion):
+    # each fold scores lambda_n itself, signed so that the larger value is
+    # better under the criterion: the second cell wins and the third does not
+    better = 1.0 if criterion == "max-val-bacc" else -1.0
+
+    def scored_by_lambda_n(config, split, seed, spec):
+        history = EpochHistory()
+        history.best[criterion] = {"epoch": 0, "value": better * spec.lambda_n, "params": {}}
+        return history
+
+    monkeypatch.setattr(grid, "train", scored_by_lambda_n)
+    cfg = tiny_config(criterion=criterion, loss={"strategy": "probability"},
+                      grid={"lambda_n": [0.1, 0.3, 0.2]})
+    result = grid_search(cfg, tiny_split(cfg))
+    assert [c.mean_score for c in result.cells] == [better * v for v in (0.1, 0.3, 0.2)]
+    assert result.best == LossSpec(strategy="probability", lambda_n=0.3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -388,6 +455,33 @@ def test_suite_records_failure_without_aborting(tmp_path):
     manifest = json.loads((result.out_dir / "manifest.json").read_text())
     flags = {c["strategy"]: c["failed"] for c in manifest["cells"]}
     assert flags == {"baseline": False, "mmce": True}
+
+
+def test_cli_suite_reports_a_cell_that_raises(tmp_path, monkeypatch, capsys):
+    real_train = suite.train
+
+    def train_or_raise(config, split, seed, spec):
+        if spec.strategy == "soft_ece":
+            raise RuntimeError("no soft_ece today")
+        return real_train(config, split, seed=seed, spec=spec)
+
+    monkeypatch.setattr(suite, "train", train_or_raise)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sizes": [80, 40, 40], "epochs": 1, "batch_size": 20, "seeds": [0],
+        "n_uncertainty": 3, "suite": [dict(s) for s in SMALL_SUITE],
+    }))
+    run = tmp_path / "run"
+    assert main(["suite", "--config", str(config), "--out", str(run)]) == 1
+    assert "soft_ece seed 0: FAILED (RuntimeError: no soft_ece today)" in capsys.readouterr().out
+    manifest = json.loads((run / "manifest.json").read_text())
+    cells = {c["strategy"]: c for c in manifest["cells"]}
+    assert cells["soft_ece"]["failed"]
+    assert cells["soft_ece"]["failure"] == "RuntimeError: no soft_ece today"
+    assert not cells["baseline"]["failed"]
+    for rel in manifest["reports"]:
+        assert (run / rel).exists()
+    assert "baseline,max-val-bacc" in (run / "metrics_softmax.csv").read_text()
 
 
 def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
@@ -566,6 +660,34 @@ def test_cli_suite_failure_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "run")])
     assert code == 1
     assert "FAILED" in capsys.readouterr().out
+    # report lists the failed cell, then the tables of the cells that ran
+    assert main(["report", str(tmp_path / "run")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("1 failed cell(s):")
+    assert lines[at + 1].startswith("  mmce seed 0: non-finite gradient")
+    assert "metrics_softmax" in lines[at + 2:]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_train_failed_run_writes_history_only(tmp_path, capsys):
+    out = tmp_path / "train"
+    argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "2",
+            "--batch-size", "20", "--set", f"loss={json.dumps(EXPLODING)}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("run failed: non-finite")
+    assert (out / "history.csv").read_text().splitlines() == ["epoch,train_loss,val_bacc,val_ece"]
+    assert not (out / "checkpoints").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_grid_every_cell_failed(tmp_path, capsys):
+    out = tmp_path / "grid"
+    argv = ["grid", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
+            "--batch-size", "20", "--set", f"loss={json.dumps(EXPLODING)}",
+            "--set", 'grid={"lambda_n": [1e308]}']
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "grid search failed: every grid cell failed\n"
+    assert not out.exists()
 
 
 def test_cli_report_and_plot(tmp_path, capsys):
@@ -603,6 +725,15 @@ def test_cli_report_malformed_manifest(tmp_path, capsys, manifest):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: malformed manifest")
+
+
+def test_cli_report_manifest_not_json(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text("{bad")
+    assert main(["report", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: not JSON (")
 
 
 @pytest.mark.parametrize("bad_table,problem", [
@@ -649,6 +780,9 @@ def test_strategy_names_agree_across_readme_cli_and_default_suite():
 
 def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing")]) == 1
+    assert main(["plot", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"no reliability tables under {tmp_path / 'reliability'}")
     assert main(["train", "--set", "badformat"]) == 2
     assert main(["train", "--set", "epochz=3"]) == 2
     capsys.readouterr()
@@ -672,6 +806,26 @@ def test_cli_bad_inputs(tmp_path, capsys):
         main(["generate-data"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'generate-data'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--epochs", "2"], ["--strategy", "mmce", "--set", "lr_vae=0.01"]],
+                         ids=["no_flags", "epochs", "strategy_and_set"])
+@pytest.mark.parametrize("content,problem", [
+    (b"[1,2]", "a config must be a JSON object, got list"),
+    (b'"x"', "a config must be a JSON object, got str"),
+    (b"3", "a config must be a JSON object, got int"),
+    (b"{bad", "not JSON (Expecting property name"),
+    (b"\xff{}", "not JSON ('utf-8' codec can't decode byte 0xff"),
+], ids=["list", "string", "number", "not_json", "not_utf8"])
+@pytest.mark.parametrize("command", ["train", "suite"])
+def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, problem, flags):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {config}: {problem}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,problem", [

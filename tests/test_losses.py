@@ -32,11 +32,13 @@ from calibtrain.model import VaeClassifier, _in_order
 from calibtrain.uncertainty import epistemic_batch
 from oracles import (
     FD_STEP,
+    FixedDraw,
     graph_batch_view,
     graph_kl_loss,
     graph_reconstruction_loss,
     graph_total_loss,
     graph_vae_forward,
+    latent_rng,
     brute_mmce,
     brute_paired_confidence,
     brute_probability_loss,
@@ -369,15 +371,6 @@ def test_all_strategy_losses_nonnegative():
 
 # -- composite dispatch --------------------------------------------------------------
 
-class _FixedEps:
-    def __init__(self, draw):
-        self.draw = draw
-
-    def standard_normal(self, shape):
-        assert shape == self.draw.shape
-        return self.draw.copy()
-
-
 def _composite_setup(seed=0, n=8, d=4):
     rng = np.random.default_rng(seed)
     model = VaeClassifier(d=d, hidden=6, latent=3, seed=seed)
@@ -392,7 +385,7 @@ def _composite_setup(seed=0, n=8, d=4):
 
 
 def _composite_loss(model, x, labels, eps, spec, c=None):
-    out = model.forward(x, rng=_FixedEps(eps), sample_latent=True)
+    out = model.forward(x, FixedDraw(eps))
     node, _ = total_loss(x, out, labels, spec,
                          epistemic_conf=c if spec.strategy == "confidence_weight" else None)
     return node
@@ -402,7 +395,7 @@ def test_total_loss_lambda_zero_reduces_to_reconstruction():
     model, x, labels, eps, _ = _composite_setup()
     spec = LossSpec(strategy="baseline", lambda_kl=0.0, lambda_c=0.0)
     node = _composite_loss(model, x, labels, eps, spec)
-    out = model.forward(x, rng=_FixedEps(eps), sample_latent=True)
+    out = model.forward(x, FixedDraw(eps))
     assert node.value == reconstruction_loss(x, out.xhat).value
 
 
@@ -492,7 +485,7 @@ def _spread_model():
     return model
 
 
-def _check_against_graph_reference(scaled_batch, spec, n, sample_latent, avuc_threshold=1.0):
+def _check_against_graph_reference(scaled_batch, spec, n, latent, avuc_threshold=1.0):
     x, g = scaled_batch[0][:n], scaled_batch[1][:n]
     model = _spread_model()
     conf = None
@@ -501,7 +494,7 @@ def _check_against_graph_reference(scaled_batch, spec, n, sample_latent, avuc_th
 
     def run(forward, loss_fn, backward_fn):
         model.params.zero_grad()
-        out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
+        out = forward(model, x, rng=latent_rng(latent, 11))
         loss, batch = loss_fn(x, out, g, spec, epistemic_conf=conf,
                               avuc_threshold=avuc_threshold)
         backward_fn(loss)
@@ -516,18 +509,17 @@ def _check_against_graph_reference(scaled_batch, spec, n, sample_latent, avuc_th
     assert any(np.any(grad != 0.0) for grad in grads.values())
 
 
-@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+@pytest.mark.parametrize("latent", ["sampled", "mean"])
 @pytest.mark.parametrize("n", [25, 250])
 @pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
-def test_fused_heads_match_graph_reference_bitwise(scaled_batch, entry, n, sample_latent):
-    _check_against_graph_reference(scaled_batch, LossSpec.from_dict(dict(entry)), n,
-                                   sample_latent)
+def test_fused_heads_match_graph_reference_bitwise(scaled_batch, entry, n, latent):
+    _check_against_graph_reference(scaled_batch, LossSpec.from_dict(dict(entry)), n, latent)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.6])
 def test_fused_heads_match_graph_reference_with_avuc_threshold(scaled_batch, threshold):
     # the threshold reaches both composites as an argument, not through the spec
-    _check_against_graph_reference(scaled_batch, LossSpec(strategy="avuc"), 25, True,
+    _check_against_graph_reference(scaled_batch, LossSpec(strategy="avuc"), 25, "sampled",
                                    avuc_threshold=threshold)
 
 
@@ -546,14 +538,14 @@ ZERO_WEIGHT_CASES["baseline-no_classifier"] = ("baseline", (0.0, 0.001, 1.0))
 ZERO_WEIGHT_CASES["probability-no_regularizer"] = ("probability", (3.0, 0.001, 0.0))
 
 
-@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+@pytest.mark.parametrize("latent", ["sampled", "mean"])
 @pytest.mark.parametrize("strategy, weights", ZERO_WEIGHT_CASES.values(),
                          ids=ZERO_WEIGHT_CASES.keys())
 def test_fused_heads_match_graph_reference_with_zero_weights(scaled_batch, strategy, weights,
-                                                             sample_latent):
+                                                             latent):
     spec = LossSpec(strategy=strategy, lambda_c=weights[0], lambda_kl=weights[1],
                     lambda_n=weights[2])
-    _check_against_graph_reference(scaled_batch, spec, 25, sample_latent)
+    _check_against_graph_reference(scaled_batch, spec, 25, latent)
 
 
 @pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
@@ -562,7 +554,7 @@ def test_loss_value_sums_weighted_terms_left_to_right(scaled_batch, entry):
     spec = LossSpec.from_dict(dict(entry))
     model = _spread_model()
     conf = np.full(25, 0.5) if spec.strategy == "confidence_weight" else None
-    out = model.forward(x, rng=np.random.default_rng(0), sample_latent=True)
+    out = model.forward(x, np.random.default_rng(0))
     loss, batch = total_loss(x, out, g, spec, epistemic_conf=conf)
     want = (reconstruction_loss(x, out.xhat).value
             + kl_loss(out.mu_z, out.logvar_z).value * spec.lambda_kl)
@@ -686,14 +678,14 @@ def test_avuc_partitions_cover_both_extremes():
     assert np.all(u < 1.0) and not np.all(u < 0.6) and not np.any(u < 0.0)
 
 
-@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
-def test_vae_terms_match_graph_terms_bitwise(scaled_batch, sample_latent):
+@pytest.mark.parametrize("latent", ["sampled", "mean"])
+def test_vae_terms_match_graph_terms_bitwise(scaled_batch, latent):
     x = scaled_batch[0][:25]
     model = _spread_model()
 
     def forward(forward_fn):
         model.params.zero_grad()
-        return forward_fn(model, x, rng=np.random.default_rng(3), sample_latent=sample_latent)
+        return forward_fn(model, x, rng=latent_rng(latent, 3))
 
     out = forward(VaeClassifier.forward)
     recon, kl = reconstruction_loss(x, out.xhat), kl_loss(out.mu_z, out.logvar_z)

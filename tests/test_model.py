@@ -20,7 +20,7 @@ from calibtrain.model import (
     save_checkpoint,
 )
 from calibtrain.uncertainty import epistemic_batch
-from oracles import FD_STEP, graph_total_loss, graph_vae_forward, rel_error
+from oracles import FD_STEP, FixedDraw, graph_total_loss, graph_vae_forward, latent_rng, rel_error
 
 
 def make_model(seed=0, d=4):
@@ -38,10 +38,14 @@ def vae_loss(x, out, lambda_kl):
     return total_loss(x, out, np.zeros(len(x), dtype=int), spec)[0]
 
 
+def draw(seed=0):
+    return np.random.default_rng(seed)
+
+
 def test_forward_shapes_and_prob_invariants():
     m = make_model()
     x = batch()
-    out = m.forward(x)
+    out = m.forward(x, draw())
     assert out.xhat.shape == (5, 4)
     assert out.mu_z.shape == (5, 3)
     assert out.probs.shape == (5, 2)
@@ -54,27 +58,31 @@ def test_forward_shapes_and_prob_invariants():
 def test_deterministic_forward_repeats():
     m = make_model()
     x = batch()
-    a = m.forward(x, sample_latent=False)
-    b = m.forward(x, sample_latent=False)
-    assert np.array_equal(a.probs, b.probs)
-    assert np.array_equal(a.z, a.mu_z)
+    ref = graph_vae_forward(m, x)
+    for _ in range(2):
+        assert np.array_equal(m.predict_probs(x), ref.probs.value)
+        mu, lv = m.encode_values(x)
+        assert np.array_equal(mu, ref.mu_z.value)
+        assert np.array_equal(lv, ref.logvar_z.value)
 
 
 def test_sampled_forward_uses_rng():
     m = make_model()
     x = batch()
-    a = m.forward(x, rng=np.random.default_rng(7), sample_latent=True)
-    b = m.forward(x, rng=np.random.default_rng(7), sample_latent=True)
-    c = m.forward(x, rng=np.random.default_rng(8), sample_latent=True)
+    a = m.forward(x, draw(7))
+    b = m.forward(x, rng=draw(7), sample_latent=True)     # the benchmark's call
+    c = m.forward(x, draw(8))
     assert np.array_equal(a.z, b.z)
     assert not np.array_equal(a.z, c.z)
-    with pytest.raises(ValueError):
-        m.forward(x, sample_latent=True)
+    with pytest.raises(TypeError):
+        m.forward(x)
+    with pytest.raises(ValueError, match="predict_probs"):
+        m.forward(x, draw(7), sample_latent=False)
 
 
 def test_zero_init_classifier_outputs_half():
     m = make_model(seed=3)
-    out = m.forward(batch())
+    out = m.forward(batch(), draw())
     assert np.array_equal(out.probs, np.full((5, 2), 0.5))
 
 
@@ -82,7 +90,7 @@ def test_logvar_clamped_and_zero_variance_limit():
     m = make_model()
     # push the logvar head far negative; clamp must hold it at the floor
     m.params["enc.b_lv"].value[:] = -1000.0
-    out = m.forward(batch(), rng=np.random.default_rng(0), sample_latent=True)
+    out = m.forward(batch(), draw())
     assert np.all(out.logvar_z == -10.0)
     # sigma = exp(-5) ~ 6.7e-3, so z hugs mu
     assert np.max(np.abs(out.z - out.mu_z)) < 0.05
@@ -91,16 +99,16 @@ def test_logvar_clamped_and_zero_variance_limit():
 def test_input_shape_validated():
     m = make_model()
     with pytest.raises(ValueError):
-        m.forward(np.zeros((3, 7)))
+        m.forward(np.zeros((3, 7)), draw())
     with pytest.raises(ValueError):
-        m.forward(np.zeros(4))
+        m.forward(np.zeros(4), draw())
 
 
 def test_nonfinite_activation_names_layer():
     m = make_model()
     m.params["enc.w1"].value[0, 0] = np.nan
     with pytest.raises(NonFiniteActivation, match="enc.hidden"):
-        m.forward(batch())
+        m.forward(batch(), draw())
 
 
 def test_numpy_path_matches_graph_path_bitwise():
@@ -109,13 +117,17 @@ def test_numpy_path_matches_graph_path_bitwise():
     rng = np.random.default_rng(2)
     m.params["clf.w2"].value[:] = rng.standard_normal((16, 2)) * 0.3
     x = np.random.default_rng(3).random((7, 6))
-    res = m.forward(x)
-    assert np.array_equal(m.predict_probs(x), res.probs)
+    ref = graph_vae_forward(m, x)
+    probs = m.predict_probs(x)
+    assert np.array_equal(probs, ref.probs.value)
     mu, lv = m.encode_values(x)
-    assert np.array_equal(mu, res.mu_z)
-    assert np.array_equal(lv, res.logvar_z)
-    assert np.array_equal(m.classify_values(mu), res.probs)
-    assert np.array_equal(graph_vae_forward(m, x).xhat.value, res.xhat)
+    assert np.array_equal(mu, ref.mu_z.value)
+    assert np.array_equal(lv, ref.logvar_z.value)
+    assert np.array_equal(m.classify_values(mu), probs)
+    # the training forward runs the same encoder and classifier
+    res = m.forward(x, draw())
+    assert np.array_equal(res.mu_z, mu) and np.array_equal(res.logvar_z, lv)
+    assert np.array_equal(m.classify_values(res.z), res.probs)
 
 
 # -- the branch-free sigmoid and the binary head against their references ------
@@ -182,10 +194,10 @@ def _spread_model():
     return model
 
 
-@pytest.mark.parametrize("sample_latent", [True, False], ids=["sampled", "mean"])
+@pytest.mark.parametrize("latent", ["sampled", "mean"])
 @pytest.mark.parametrize("n", [25, 250])
 @pytest.mark.parametrize("entry", DEFAULT_SUITE, ids=lambda e: e["strategy"])
-def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, sample_latent):
+def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, latent):
     x, g = scaled_batch[0][:n], scaled_batch[1][:n]
     spec = LossSpec.from_dict(dict(entry))
     model = _spread_model()
@@ -195,7 +207,7 @@ def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, sample_lat
 
     def run(forward, loss_fn, backward_fn, value):
         model.params.zero_grad()
-        out = forward(model, x, rng=np.random.default_rng(11), sample_latent=sample_latent)
+        out = forward(model, x, rng=latent_rng(latent, 11))
         loss, _ = loss_fn(x, out, g, spec, epistemic_conf=conf)
         backward_fn(loss)
         values = [value(out.xhat), value(out.mu_z), value(out.logvar_z), value(out.z),
@@ -216,14 +228,14 @@ def test_layers_match_graph_reference_bitwise(scaled_batch, entry, n, sample_lat
 def test_forward_returns_plain_arrays(scaled_batch):
     x = scaled_batch[0][:25]
     m = _spread_model()
-    out = m.forward(x, rng=np.random.default_rng(0), sample_latent=True)
+    out = m.forward(x, draw())
     # the outputs are plain arrays, and the activations the backward pass
     # reads ride along with them, the input included
-    for name in ("xhat", "mu_z", "logvar_z", "z", "probs", "h_enc", "h_dec", "h_clf"):
+    for name in ("xhat", "mu_z", "logvar_z", "z", "probs", "h_enc", "eps", "sigma",
+                 "h_dec", "h_clf"):
         assert type(getattr(out, name)) is np.ndarray, name
     assert out.model is m and out.x is x
     assert np.array_equal(out.z, out.mu_z + out.sigma * out.eps)
-    assert m.forward(x).eps is None
 
 
 def test_param_writes_reach_next_forward_after_adam():
@@ -231,20 +243,19 @@ def test_param_writes_reach_next_forward_after_adam():
     x = batch()
     opt = Adam(m.params, lr=0.1)
     m.params["clf.b2"].value[0] = 4.0                       # in-place write
-    assert np.all(m.forward(x).probs[:, 0] > 0.9)
+    assert np.all(m.predict_probs(x)[:, 0] > 0.9)
     m.params["clf.b2"].value = np.array([0.0, 4.0])         # assignment
-    assert np.all(m.forward(x).probs[:, 1] > 0.9)
-    assert np.array_equal(m.predict_probs(x), m.forward(x).probs)
+    assert np.all(m.predict_probs(x)[:, 1] > 0.9)
 
-    out = m.forward(x)
+    out = m.forward(x, draw())
     backward(vae_loss(x, out, 0.0))
     before = m.params.copy_values()
     opt.step()
     moved = [name for name in m.params.names()
              if not np.array_equal(m.params[name].value, before[name])]
-    assert moved == ["enc.w1", "enc.b1", "enc.w_mu", "enc.b_mu",
+    assert moved == ["enc.w1", "enc.b1", "enc.w_mu", "enc.b_mu", "enc.w_lv", "enc.b_lv",
                      "dec.w1", "dec.b1", "dec.w2", "dec.b2"]
-    assert not np.array_equal(m.forward(x).xhat, out.xhat)
+    assert not np.array_equal(m.forward(x, draw()).xhat, out.xhat)
 
 
 def test_kl_closed_forms():
@@ -274,7 +285,7 @@ def test_reconstruction_zero_on_exact_binary():
 
 def test_reconstruction_rejects_out_of_range():
     m = make_model()
-    out = m.forward(batch())
+    out = m.forward(batch(), draw())
     bad = batch() + 2.0
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         reconstruction_loss(bad, out.xhat)
@@ -283,7 +294,7 @@ def test_reconstruction_rejects_out_of_range():
 def test_classifier_untouched_by_vae_loss():
     m = make_model()
     x = batch()
-    out = m.forward(x)
+    out = m.forward(x, draw())
     backward(vae_loss(x, out, 0.001))
     for name in ("clf.w1", "clf.b1", "clf.w2", "clf.b2"):
         assert np.all(m.params[name].grad == 0.0), name
@@ -297,7 +308,7 @@ def test_vae_loss_gradient_fd():
     eps_draw = np.random.default_rng(11).standard_normal((5, 3))
 
     def loss_value():
-        out = m.forward(x, rng=_FixedEps(eps_draw), sample_latent=True)
+        out = m.forward(x, FixedDraw(eps_draw))
         return vae_loss(x, out, 0.01)
 
     loss = loss_value()
@@ -315,17 +326,6 @@ def test_vae_loss_gradient_fd():
         node.value[:] = base
         fd = (hi - lo) / (2 * FD_STEP)
         assert rel_error(analytic, fd) < 1e-4, name
-
-
-class _FixedEps:
-    """Stands in for a Generator, replaying one fixed normal draw."""
-
-    def __init__(self, draw):
-        self.draw = draw
-
-    def standard_normal(self, shape):
-        assert shape == self.draw.shape
-        return self.draw.copy()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -427,6 +427,14 @@ def test_checkpoint_layout_mismatch_rejected(tmp_path, edit):
         load_checkpoint(tmp_path)
     assert str(err.value).startswith(f"checkpoint {tmp_path}: ")
     assert "\n" not in str(err.value)
+
+
+def test_checkpoint_manifest_not_json_rejected(tmp_path):
+    save_checkpoint(VaeClassifier(d=3, hidden=4, latent=2, seed=0), tmp_path, epoch=1)
+    (tmp_path / "manifest.json").write_text("{bad")
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(tmp_path)
+    assert str(err.value).startswith(f"checkpoint {tmp_path}: manifest.json is not JSON (")
 
 
 def test_checkpoint_rewrite_byte_identical(tmp_path):
