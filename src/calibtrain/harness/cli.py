@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from ..losses import STRATEGIES, LossSpec
@@ -25,8 +26,8 @@ from ..metrics import Bin, BinTable
 from ..model import VaeClassifier, save_checkpoint
 from .config import CRITERIA, ExperimentConfig
 from .grid import grid_search
-from .suite import (HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split, history_rows,
-                    reliability_title, run_suite, write_csv)
+from .suite import (EVAL_MODES, HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split,
+                    history_rows, reliability_title, run_suite, write_csv)
 from .svg import write_reliability_svg
 from .training import train
 
@@ -38,18 +39,19 @@ def _parse_value(raw: str):
         return raw
 
 
-def _read_json(path: Path):
-    """A JSON file's value; ValueError names the file."""
+def _read(path: Path, parse: Callable[[str], object], kind: str):
+    """``parse`` of a file's text; a file that is not UTF-8, or that
+    ``parse`` refuses with a ValueError, is a ValueError that names it."""
     try:
-        return json.loads(path.read_text())
-    except ValueError as err:        # not UTF-8, or not JSON
-        raise ValueError(f"{path}: not JSON ({err})") from None
+        return parse(path.read_text())
+    except ValueError as err:        # a UnicodeDecodeError is one too
+        raise ValueError(f"{path}: not {kind} ({err})") from None
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
-        data = _read_json(Path(args.config))
+        data = _read(Path(args.config), json.loads, "JSON")
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: a config must be a JSON object, "
                              f"got {type(data).__name__}")
@@ -125,7 +127,7 @@ def cmd_grid(args) -> int:
         row = [cell.values[k] for k in keys]
         scores = list(cell.fold_scores) + [None] * (2 - len(cell.fold_scores))
         row.extend(scores)
-        row.append(None if cell.failed else cell.mean_score)
+        row.append(cell.mean_score)
         row.append("yes" if cell.failed else "no")
         rows.append(row)
     write_csv(out / "grid.csv", keys + ["fold0", "fold1", "mean", "failed"], rows)
@@ -145,15 +147,14 @@ def cmd_suite(args) -> int:
     return 0 if result.ok else 1
 
 
-def _read_table(path: Path) -> list[list[str]]:
-    """A report CSV's rows of cells; ValueError names the file."""
-    table = [line.split(",") for line in path.read_text().splitlines()]
+def _parse_table(text: str) -> list[list[str]]:
+    """A report CSV's rows of cells, each as wide as the header."""
+    table = [line.split(",") for line in text.splitlines()]
     if not table:
-        raise ValueError(f"{path}: empty, not even a header")
+        raise ValueError("empty, not even a header")
     for row, cells in enumerate(table[1:], start=2):
         if len(cells) != len(table[0]):
-            raise ValueError(f"{path}: line {row} has {len(cells)} columns, "
-                             f"expected {len(table[0])}")
+            raise ValueError(f"line {row} has {len(cells)} columns, expected {len(table[0])}")
     return table
 
 
@@ -180,7 +181,7 @@ def cmd_report(args) -> int:
     if not manifest_path.exists():
         print(f"no manifest.json under {run}", file=sys.stderr)
         return 1
-    manifest = _read_json(manifest_path)
+    manifest = _read(manifest_path, json.loads, "JSON")
     try:
         header = f"config hash {manifest['config_hash']}, seeds {manifest['seeds']}"
         failed = [f"  {c['strategy']} seed {c['seed']}: {c['failure']}"
@@ -189,10 +190,10 @@ def cmd_report(args) -> int:
         raise ValueError(f"malformed manifest {manifest_path}: "
                          f"{type(err).__name__}: {err}") from None
     # read every table before printing any, so a bad table prints nothing
-    names = ("metrics_softmax", "metrics_epistemic", "metrics_aleatoric",
-             "selection_comparison", "mcnemar_vs_baseline")
-    tables = [(name, _read_table(run / f"{name}.csv")) for name in names
-              if (run / f"{name}.csv").exists()]
+    names = [f"metrics_{mode}" for mode in EVAL_MODES]
+    names += ["selection_comparison", "mcnemar_vs_baseline"]
+    tables = [(name, _read(run / f"{name}.csv", _parse_table, "a CSV table"))
+              for name in names if (run / f"{name}.csv").exists()]
     print(header)
     if failed:
         print(f"{len(failed)} failed cell(s):")
@@ -209,7 +210,7 @@ def _table_from_csv(path: Path) -> BinTable:
                    if path.stem.endswith(f"_{s}")), None)
     if scheme is None:
         raise ValueError(f"{path}: the name ends in neither _equal_width nor _adaptive")
-    header, *rows = _read_table(path)
+    header, *rows = _read(path, _parse_table, "a CSV table")
     if tuple(header) != RELIABILITY_COLUMNS:
         raise ValueError(f"{path}: header {','.join(header)}, "
                          f"expected {','.join(RELIABILITY_COLUMNS)}")

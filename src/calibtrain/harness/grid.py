@@ -27,7 +27,7 @@ log_ = logging.getLogger(__name__)
 class GridCell:
     values: dict           # grid key -> candidate value
     fold_scores: list[float]
-    mean_score: float
+    mean_score: float | None   # None for a failed cell
     failed: bool = False
 
 
@@ -68,7 +68,7 @@ def grid_search(config: ExperimentConfig, split: DataSplit) -> GridResult:
                 failed = True
                 break
             fold_scores.append(history.best[config.criterion]["value"])
-        mean_score = float("nan") if failed else float(np.mean(fold_scores))
+        mean_score = None if failed else float(np.mean(fold_scores))
         cells.append(GridCell(values=values, fold_scores=fold_scores,
                               mean_score=mean_score, failed=failed))
 

@@ -2,7 +2,7 @@
 
 Suite cells each own their RNG substreams, so running them at the same
 time, in any order, changes no bit of their results. Workers are forked:
-each inherits the inputs that every cell reads (config, split, ...) through
+each inherits the inputs that every cell reads (config and split) through
 the pool's initializer, instead of receiving a pickled copy with every task.
 Only a cell's own arguments and its result cross between processes. Results
 come back in submission order.

@@ -135,8 +135,7 @@ def _aggregate(values: list) -> tuple:
 
 
 def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
-              seed: int, scaler: FeatureScaler, x_test: np.ndarray,
-              g_test: np.ndarray) -> CellResult:
+              seed: int) -> CellResult:
     cell = CellResult(strategy=spec.strategy, seed=seed, selected_epoch={},
                       metrics={}, test_records={})
     history = train(config, split, seed=seed, spec=spec)
@@ -145,6 +144,8 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
         cell.failed = True
         cell.failure = history.failure
         return cell
+    scaler = FeatureScaler().fit(split.train.x)
+    x_test = scaler.transform(split.test.x)
     # epoch -> (metric rows, softmax records); an epoch that both criteria
     # select is evaluated once and shared
     evaluated = {}
@@ -155,7 +156,7 @@ def _run_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
             model = VaeClassifier(d=config.d, hidden=config.hidden,
                                   latent=config.latent, seed=seed)
             model.params.load_values(best["params"])
-            softmax_records = evaluate_records(model, x_test, g_test)
+            softmax_records = evaluate_records(model, x_test, split.test.g)
             epi = uncertainty_records(model, split.test, "epistemic", scaler=scaler,
                                       n=config.n_uncertainty, base_seed=(seed, 3))
             # input noise at a tenth of the class separation, in raw feature units
@@ -176,13 +177,12 @@ def _failed_cell(strategy: str, seed: int, err: BaseException) -> CellResult:
                       test_records={}, failed=True, failure=f"{type(err).__name__}: {err}")
 
 
-def _timed_cell(config: ExperimentConfig, split: DataSplit, scaler: FeatureScaler,
-                x_test: np.ndarray, g_test: np.ndarray, spec: LossSpec,
+def _timed_cell(config: ExperimentConfig, split: DataSplit, spec: LossSpec,
                 seed: int) -> tuple[CellResult, float]:
     """One cell and its own time in seconds; a failure becomes a failed cell."""
     start = time.perf_counter()
     try:
-        cell = _run_cell(config, split, spec, seed, scaler, x_test, g_test)
+        cell = _run_cell(config, split, spec, seed)
     except Exception as err:   # a cell failure must not sink the suite
         cell = _failed_cell(spec.strategy, seed, err)
     return cell, time.perf_counter() - start
@@ -205,15 +205,12 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
     split = generate_split(config)
     out = config.resolve_out_dir(out_override)
     out.mkdir(parents=True, exist_ok=True)
-    scaler = FeatureScaler().fit(split.train.x)
-    x_test = scaler.transform(split.test.x)
-    g_test = split.test.g
 
     specs = [LossSpec.from_dict(dict(entry)) for entry in config.suite]
     cell_args = [(spec, seed) for spec in specs for seed in config.seeds]
     cells = []
-    outcomes = map_cells(_timed_cell, (config, split, scaler, x_test, g_test),
-                         cell_args, inline=_cell_calls_replaced())
+    outcomes = map_cells(_timed_cell, (config, split), cell_args,
+                         inline=_cell_calls_replaced())
     for (spec, seed), outcome in zip(cell_args, outcomes):
         if isinstance(outcome, BrokenProcessPool):
             outcome = _failed_cell(spec.strategy, seed, outcome), 0.0

@@ -46,15 +46,12 @@ def render_reliability(table: BinTable, title: str) -> str:
     parts.append(f'<text x="18" y="{_H / 2:g}" text-anchor="middle" font-size="12" '
                  f'font-family="sans-serif" transform="rotate(-90 18 {_H / 2:g})">accuracy</text>')
 
-    # per-bin accuracy bars; width from edges (equal-width) or equal slots
+    # per-bin accuracy bars in equal slots; an equal-width bin's edges are
+    # the same numbers, i/m and (i+1)/m
     m = table.m
     for i, b in enumerate(table.bins):
-        if table.scheme == "equal_width":
-            lo, hi = b.lower, b.upper
-        else:
-            lo, hi = i / m, (i + 1) / m
         if b.count and b.acc is not None:
-            x0, x1 = _sx(lo), _sx(hi)
+            x0, x1 = _sx(i / m), _sx((i + 1) / m)
             y0, y1 = _sy(b.acc), _sy(0)
             parts.append(f'<rect x="{x0 + 1:g}" y="{y0:g}" width="{x1 - x0 - 2:g}" '
                          f'height="{y1 - y0:g}" fill="#4878a8" fill-opacity="0.8"/>')

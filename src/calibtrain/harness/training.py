@@ -126,7 +126,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
             history.failure = str(err)
             return history
 
-        if track_threshold and epoch_probs:
+        if track_threshold:
             threshold = _mean_accurate_entropy(np.concatenate(epoch_probs),
                                                np.concatenate(epoch_correct),
                                                fallback=threshold)

@@ -37,7 +37,6 @@ n x n buffers.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,8 +45,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ForwardResult, _in_order
-
-log_ = logging.getLogger(__name__)
 
 EPS = 1e-12   # floor for logs, denominators and fractional-power bases
 
@@ -149,19 +146,15 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
-        """Parse a config mapping; irrelevant keys are ignored with a notice."""
+        """Parse a config mapping. Every key is checked, whether or not the
+        strategy reads it; one it does not read has no effect."""
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown loss config keys: {sorted(unknown)}")
         strategy = d.get("strategy")
         if not isinstance(strategy, str):
             raise ValueError(f"loss config must name a strategy as a string, got {strategy!r}")
-        relevant = STRATEGIES.get(strategy, Strategy()).fields   # __post_init__ names a bad one
-        kept = {k: v for k, v in d.items() if k in relevant}
-        ignored = sorted(set(d) - relevant)
-        if ignored:
-            log_.info("strategy %r ignores config keys %s", strategy, ignored)
-        return cls(**kept)
+        return cls(**d)
 
 
 class Term(NamedTuple):

@@ -11,8 +11,10 @@ VOTE_ROWS // n samples per batched classifier pass (one sample when n alone
 is more), so the vote arrays stay small whatever the split or batch size;
 for epistemic votes it encodes the latent moments of every row once, before
 the loop, since they do not depend on the draws. The loop asks its caller's
-``draw(start, stop)`` for the noise of each chunk, shape (stop - start,
-n - 1, k), so its two callers differ only in their streams:
+``draw(start, stop)`` for the noise of each chunk, always an array of
+shape (stop - start, n - 1, k): with n = 1 it is empty, and aleatoric noise
+at sigma = 0 adds only zeros, so every vote equals the deterministic pass.
+Its two callers differ only in their streams:
 
 - ``uncertainty_records`` votes every sample of a test ``Subset`` from one
   default_rng(base_seed) per call, read in sample order: sample i's votes
@@ -58,7 +60,7 @@ def _votes(model: VaeClassifier, x: np.ndarray, kind: str, n: int, draw,
     Pass 0 of every row is deterministic. Passes 1..n-1 of row j add
     eps[j], of shape (n - 1, k): latent noise (epistemic, k = latent) or
     input noise added before scaling (aleatoric, k = d). draw(start, stop)
-    returns eps for rows start..stop-1, or None when no row makes a draw.
+    returns eps for rows start..stop-1; with n = 1 its pass axis is empty.
     """
     if n < 1:
         raise ValueError(f"need at least one pass, got n={n}")
@@ -77,12 +79,10 @@ def _votes(model: VaeClassifier, x: np.ndarray, kind: str, n: int, draw,
         if kind == "epistemic":
             z = np.empty((stop - start, n, mu.shape[1]))
             z[:, 0] = mu[start:stop]
-            if n > 1:
-                z[:, 1:] = mu[start:stop, None, :] + spread[start:stop, None, :] * eps
+            z[:, 1:] = mu[start:stop, None, :] + spread[start:stop, None, :] * eps
         else:
             xs = np.repeat(x[start:stop, None, :], n, axis=1)
-            if n > 1 and sigma > 0:
-                xs[:, 1:] = x[start:stop, None, :] + eps * sigma
+            xs[:, 1:] = x[start:stop, None, :] + eps * sigma
             xs = xs.reshape(-1, d)
             z, _ = model.encode_values(xs if scaler is None else scaler.transform(xs))
         labels = np.argmax(model.classify_values(z.reshape(-1, z.shape[-1])), axis=1)
@@ -110,10 +110,8 @@ def uncertainty_records(model: VaeClassifier, test: Subset, kind: str,
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     x = test.x
     width = model.latent if kind == "epistemic" else x.shape[1]
-    draw = lambda start, stop: None
-    if n > 1 and (kind == "epistemic" or sigma > 0):
-        rng = np.random.default_rng(base_seed)
-        draw = lambda start, stop: rng.standard_normal((stop - start, n - 1, width))
+    rng = np.random.default_rng(base_seed)
+    draw = lambda start, stop: rng.standard_normal((stop - start, n - 1, width))
     preds = _votes(model, x, kind, n, draw, sigma=sigma, scaler=scaler)
     return predictions_from_shares(preds.sum(axis=1) / n, test.g)
 
@@ -129,6 +127,6 @@ def epistemic_batch(model: VaeClassifier, xs: np.ndarray, n: int,
     ``uncertainty_records``.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    eps = rng.standard_normal((n - 1, len(xs), model.latent)) if n > 1 else None
-    draw = lambda start, stop: None if eps is None else eps[:, start:stop].swapaxes(0, 1)
+    eps = rng.standard_normal((n - 1, len(xs), model.latent))
+    draw = lambda start, stop: eps[:, start:stop].swapaxes(0, 1)
     return _votes(model, xs, "epistemic", n, draw).sum(axis=1) / n

@@ -7,6 +7,7 @@ import pytest
 
 import oracles as ops
 from calibtrain import autodiff as ad
+from calibtrain.losses import Loss
 from oracles import fd_coordinate, rel_error
 
 
@@ -111,6 +112,15 @@ def test_backward_rejects_second_call():
     ops.backward(loss)
     with pytest.raises(RuntimeError):
         ops.backward(loss)
+
+
+def test_package_backward_runs_a_loss_schedule_once():
+    calls = []
+    loss = Loss(np.float64(1.0), lambda: calls.append(1))
+    ad.backward(loss)
+    with pytest.raises(RuntimeError, match="^backward already called on this loss"):
+        ad.backward(loss)
+    assert calls == [1]
 
 
 def test_backward_rejects_non_scalar():
@@ -221,6 +231,11 @@ def test_paramset_views_share_one_buffer():
     ps.load_values(snapshot)
     assert np.array_equal(ps.flat, [1.0, 20.0, 30.0, 40.0, 5.0])
     assert not ps.grad.any()
+    # a stored scalar would broadcast into "a" if the shapes went unchecked
+    with pytest.raises(ad.ShapeMismatch,
+                       match=r"^parameter 'a': stored shape \(\) vs model shape \(2,\)$"):
+        ps.load_values({**snapshot, "a": np.array(9.0)})
+    assert np.array_equal(ps.flat, [1.0, 20.0, 30.0, 40.0, 5.0])
 
 
 def test_determinism_identical_seed_identical_trajectory():

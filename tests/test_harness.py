@@ -134,6 +134,11 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"epochz": 3})
 
 
+def test_config_from_dict_rejects_a_non_object():
+    with pytest.raises(ValueError, match="^a config must be a JSON object, got list$"):
+        ExperimentConfig.from_dict(["epochs"])
+
+
 def test_out_dir_env_root(monkeypatch):
     cfg = tiny_config(out_dir="runs/exp1")
     monkeypatch.setenv("CALIBTRAIN_OUT", "/data/out")
@@ -378,6 +383,16 @@ def test_grid_later_cell_wins(monkeypatch, criterion):
     result = grid_search(cfg, tiny_split(cfg))
     assert [c.mean_score for c in result.cells] == [better * v for v in (0.1, 0.3, 0.2)]
     assert result.best == LossSpec(strategy="probability", lambda_n=0.3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_failed_cell_has_no_mean_score():
+    cfg = tiny_config(epochs=1, loss=dict(EXPLODING), grid={"lambda_n": [1.0, 1e308]})
+    result = grid_search(cfg, tiny_split(cfg))
+    assert [c.failed for c in result.cells] == [False, True]
+    assert isinstance(result.cells[0].mean_score, float)
+    assert result.cells[1].mean_score is None
+    assert result.best.lambda_n == 1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -690,6 +705,15 @@ def test_cli_grid_every_cell_failed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_train_checks_loss_keys_its_strategy_does_not_read(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--set", 'loss={"strategy":"baseline","n_bins":1}',
+            "--set", "sizes=[80,40,40]", "--epochs", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: n_bins must be >= 2, got 1"]
+    assert not out.exists()
+
+
 def test_cli_report_and_plot(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -754,6 +778,23 @@ def test_cli_report_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith(f"error: {bad}: ") and problem in err
     assert out == ""
+
+
+def test_cli_report_and_plot_name_a_table_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"config_hash": "abc", "seeds": [0], "cells": []}))
+    metrics = tmp_path / "metrics_softmax.csv"
+    metrics.write_bytes(b"\xffstrategy,criterion\n")
+    (tmp_path / "reliability").mkdir()
+    table = tmp_path / "reliability" / "x_adaptive.csv"
+    table.write_bytes(b"\xff" + GOOD_TABLE.encode())
+    for command, bad in (("report", metrics), ("plot", table)):
+        assert main([command, str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {bad}: not a CSV table ('utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte)\n")
+    assert not list(table.parent.glob("*.svg"))
 
 
 def test_cli_docstring_lists_the_parsers_subcommands():

@@ -1,4 +1,3 @@
-import logging
 import math
 import tracemalloc
 
@@ -90,7 +89,7 @@ def test_spec_accepts_tuned_operating_points():
     dict(strategy="avuc", avuc_threshold=0.5),   # training state, not a field
 ])
 def test_spec_rejects_bad_values(kw):
-    # from_dict passes the keys a strategy reads on to LossSpec's checks
+    # from_dict passes every key on to LossSpec's checks
     with pytest.raises(ValueError):
         LossSpec.from_dict(kw)
 
@@ -105,14 +104,18 @@ def test_spec_rejects_non_finite_numbers(field, value):
         LossSpec(strategy="baseline", **{field: value})
 
 
-def test_from_dict_ignores_irrelevant_keys_with_notice(caplog):
-    with caplog.at_level(logging.INFO, logger="calibtrain.losses"):
-        spec = LossSpec.from_dict({"strategy": "baseline", "lambda_c": 2.0,
-                                   "margin": 0.8, "kernel_width": 0.9})
-    assert spec.lambda_c == 2.0
-    assert spec.margin == 0.6        # irrelevant key dropped, default kept
-    assert spec.kernel_width == 0.4
-    assert any("ignores" in r.message and "margin" in r.message for r in caplog.records)
+def test_from_dict_checks_and_keeps_unread_keys():
+    # baseline reads neither margin nor kernel_width: both are kept, and checked
+    spec = LossSpec.from_dict({"strategy": "baseline", "lambda_c": 2.0,
+                               "margin": 0.8, "kernel_width": 0.9})
+    assert (spec.lambda_c, spec.margin, spec.kernel_width) == (2.0, 0.8, 0.9)
+    with pytest.raises(ValueError, match=r"^margin must lie in \[0, 1\], got 2$"):
+        LossSpec.from_dict({"strategy": "baseline", "margin": 2})
+
+
+def test_spec_takes_an_integral_float_count():
+    spec = LossSpec(strategy="soft_ece", n_bins=15.0)
+    assert spec.n_bins == 15 and type(spec.n_bins) is int
 
 
 def test_from_dict_rejects_unknown_and_missing():
@@ -191,6 +194,17 @@ def test_probability_hand_fixtures():
     assert abs(probability_loss(lone_pos).value - 0.7) < 1e-12
     perfect = view([1.0, 0.0], [1, 0])
     assert probability_loss(perfect).value == 0.0
+
+
+def test_probability_empty_batch_is_zero_without_gradient():
+    term = probability_loss(view([], []))
+    assert term.value == 0.0 and term.vjp(np.float64(1.0)) == []
+
+
+def test_reconstruction_loss_refuses_a_shape_mismatch():
+    # (1, 3) would broadcast against (2, 3) if the shapes went unchecked
+    with pytest.raises(ValueError, match=r"^target shape \(2, 3\) != reconstruction shape \(1, 3\)$"):
+        reconstruction_loss(np.zeros((2, 3)), np.full((1, 3), 0.5))
 
 
 def test_probability_balanced_closed_form():

@@ -82,6 +82,17 @@ def test_record_validation():
         records_from_probs(np.array([[0.3, 0.7]]), np.array([0.5]))
     with pytest.raises(ValueError):
         records_from_probs(np.array([[0.3, 0.7], [0.4, 0.6]]), np.array([1]))
+    # one column sums to 1 and would pass every other check
+    with pytest.raises(ValueError, match=r"^expected probs of shape \(n, 2\), got \(3, 1\)$"):
+        records_from_probs(np.ones((3, 1)), np.array([0, 1, 0]))
+
+
+def test_metrics_refuse_no_records():
+    empty = np.zeros(0, dtype=np.int64)
+    preds = Predictions.of(np.zeros((0, 2)), empty, empty)
+    for metric in (brier, classification_metrics):
+        with pytest.raises(ValueError, match="^need at least one record$"):
+            metric(preds)
 
 
 # -- binning ----------------------------------------------------------------
