@@ -9,14 +9,16 @@ Subcommands:
 
 Every run subcommand accepts ``--config FILE`` (JSON) plus flag overrides;
 flags win over the file. ``--set KEY=VALUE`` overrides any config field,
-parsing VALUE as JSON when possible. The CALIBTRAIN_OUT environment
-variable prefixes relative output directories.
+parsing VALUE as JSON when possible. A subcommand takes only the flags it
+reads. No config field names the output directory: ``--out`` (default
+``runs``) does, under CALIBTRAIN_OUT when that is set and the path is relative.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -73,9 +75,12 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     loss = data.get("loss", {})
     if getattr(args, "strategy", None) and isinstance(loss, dict):   # else the config refuses it
         data["loss"] = {**loss, "strategy": args.strategy}
-    if getattr(args, "out", None):
-        data["out_dir"] = args.out
     return ExperimentConfig.from_dict(data)
+
+
+def out_dir(args: argparse.Namespace) -> Path:
+    """``--out``, under CALIBTRAIN_OUT if set (joining keeps an absolute path)."""
+    return Path(os.environ.get("CALIBTRAIN_OUT", ""), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +89,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_train(args) -> int:
     config = load_config(args)
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+    seed = config.seeds[0]
     spec = LossSpec.from_dict(dict(config.loss))
+    out = out_dir(args)
+    # an earlier run's checkpoints must not sit beside this run's history
+    for criterion in CRITERIA:
+        for name in ("manifest.json", "params.bin"):
+            (out / "checkpoints" / criterion / name).unlink(missing_ok=True)
     split = generate_split(config)
     history = train(config, split, seed=seed, spec=spec)
-    out = config.resolve_out_dir()
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "history.csv", HISTORY_COLUMNS, history_rows(history))
     if history.failed:
@@ -119,7 +126,7 @@ def cmd_grid(args) -> int:
     except RuntimeError as err:
         print(f"grid search failed: {err}", file=sys.stderr)
         return 1
-    out = config.resolve_out_dir()
+    out = out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     keys = sorted(config.grid)
     rows = []
@@ -139,11 +146,12 @@ def cmd_grid(args) -> int:
 
 def cmd_suite(args) -> int:
     config = load_config(args)
-    result = run_suite(config, out_override=args.out)
+    out = out_dir(args)
+    result = run_suite(config, out)
     for cell in result.cells:
         status = f"FAILED ({cell.failure})" if cell.failed else "ok"
         print(f"{cell.strategy} seed {cell.seed}: {status}")
-    print(f"reports in {result.out_dir}")
+    print(f"reports in {out}")
     return 0 if result.ok else 1
 
 
@@ -260,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output directory (overrides the config)")
+    common.add_argument("--out", default="runs",
+                        help="output directory (default: runs, under $CALIBTRAIN_OUT if set)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override any config field; VALUE parsed as JSON")
     common.add_argument("--epochs", type=int)
@@ -268,20 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seeds", help="comma-separated run seeds")
     common.add_argument("--data-seed", type=int, dest="data_seed")
     common.add_argument("--noise-rate", type=float, dest="noise_rate")
-    common.add_argument("--criterion", choices=list(CRITERIA))
-    common.add_argument("--strategy", choices=list(STRATEGIES),
-                        help="replace the configured loss strategy")
+    # each subcommand takes only the flags it reads, and no abbreviation of
+    # one (train --seed is not --seeds)
+    run = dict(parents=[common], allow_abbrev=False)
+    strategy = dict(choices=list(STRATEGIES), help="replace the configured loss strategy")
 
-    p = sub.add_parser("train", parents=[common], help="single training run")
-    p.add_argument("--seed", type=int, help="run seed (default: first config seed)")
+    p = sub.add_parser("train", **run, help="single training run, first seed")
+    p.add_argument("--strategy", **strategy)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid", parents=[common],
-                       help="grid search over loss hyperparameters")
+    p = sub.add_parser("grid", **run, help="grid search over loss hyperparameters")
+    p.add_argument("--strategy", **strategy)
+    p.add_argument("--criterion", choices=list(CRITERIA))
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("suite", parents=[common],
-                       help="train and evaluate every configured strategy")
+    p = sub.add_parser("suite", **run, help="train and evaluate every configured strategy")
+    p.add_argument("--criterion", choices=list(CRITERIA))
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("report", help="print the tables of a finished run")

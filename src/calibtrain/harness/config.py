@@ -2,9 +2,9 @@
 
 One config drives every subcommand. ``loss`` configures single-run training
 and grid search; ``suite`` lists the strategy configs a full suite run
-trains. The output root resolves as: explicit CLI flag, then the config's
-``out_dir``, prefixed by the CALIBTRAIN_OUT environment variable when set
-and the path is relative.
+trains. A config says what a run is, not where it is written: the output
+directory is the CLI's ``--out``, so a config hashes the same, and a suite's
+manifest reads the same, whatever directory holds the run.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from ..losses import LossSpec, check_number, checked_int
 
@@ -74,8 +72,6 @@ class ExperimentConfig:
     suite: list[dict] = field(default_factory=lambda: [dict(s) for s in DEFAULT_SUITE])
     # uncertainty estimation
     n_uncertainty: int = 20
-    # output
-    out_dir: str = "runs"
 
     def __post_init__(self):
         # JSON gives any type anywhere: check types before comparing values
@@ -90,7 +86,7 @@ class ExperimentConfig:
         if not isinstance(self.seeds, (list, tuple)):
             raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         self.seeds = [checked_int("seeds", s) for s in self.seeds]
-        for name, kind in (("loss", dict), ("grid", dict), ("suite", list), ("out_dir", str)):
+        for name, kind in (("loss", dict), ("grid", dict), ("suite", list)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a JSON {kind.__name__}, "
                                  f"got {getattr(self, name)!r}")
@@ -149,13 +145,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-    def resolve_out_dir(self, override: str | None = None) -> Path:
-        out = Path(override) if override else Path(self.out_dir)
-        root = os.environ.get("CALIBTRAIN_OUT")
-        if root and not out.is_absolute():
-            out = Path(root) / out
-        return out
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -15,7 +15,8 @@ call counter), whose records a worker could not hand back.
 
 All emitted files are pure functions of the config: floats are written with
 repr (shortest round-trip form), rows follow deterministic orders, and no
-timestamps appear anywhere, so re-running a suite reproduces every byte.
+timestamps or paths appear anywhere, so re-running a suite reproduces every
+byte, in the same directory or another.
 The manifest is written last and atomically, so a run directory that has
 one holds every report.
 """
@@ -121,7 +122,6 @@ class CellResult:
 @dataclass
 class SuiteResult:
     cells: list[CellResult]
-    out_dir: Path
     ok: bool
 
 
@@ -201,9 +201,8 @@ def _cell_calls_replaced() -> bool:
     return any(globals()[name] is not fn for name, fn in _CELL_CALLS.items())
 
 
-def run_suite(config: ExperimentConfig, out_override: str | None = None) -> SuiteResult:
+def run_suite(config: ExperimentConfig, out: Path) -> SuiteResult:
     split = generate_split(config)
-    out = config.resolve_out_dir(out_override)
     out.mkdir(parents=True, exist_ok=True)
 
     specs = [LossSpec.from_dict(dict(entry)) for entry in config.suite]
@@ -223,7 +222,7 @@ def run_suite(config: ExperimentConfig, out_override: str | None = None) -> Suit
 
     _write_reports(config, cells, out)
     ok = not any(c.failed for c in cells)
-    return SuiteResult(cells=cells, out_dir=out, ok=ok)
+    return SuiteResult(cells=cells, ok=ok)
 
 
 # ---------------------------------------------------------------------------

@@ -318,10 +318,11 @@ def test_criterion_5_degeneracy_equivalences():
 
 @pytest.fixture(scope="module")
 def default_suite(tmp_path_factory):
-    cfg = ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("acc") / "run"))
+    cfg = ExperimentConfig()
+    out = tmp_path_factory.mktemp("acc") / "run"
     t0 = time.perf_counter()
-    result = run_suite(cfg)
-    return cfg, result, time.perf_counter() - t0
+    result = run_suite(cfg, out)
+    return cfg, out, result, time.perf_counter() - t0
 
 
 def _strategy_means(cells, criterion_name):
@@ -335,7 +336,7 @@ def _strategy_means(cells, criterion_name):
 
 def test_criterion_6_directional_reproduction(default_suite):
     with criterion(6, "directional ECE reduction") as info:
-        cfg, result, elapsed = default_suite
+        cfg, _, result, elapsed = default_suite
         assert result.ok, [c.failure for c in result.cells if c.failed]
         assert cfg.noise_rate == 0.15
         assert len(cfg.seeds) == 3
@@ -372,16 +373,16 @@ def test_criterion_7_model_selection_study(tmp_path):
         # the suite reports every strategy under both criteria
         cfg = ExperimentConfig(
             sizes=(80, 40, 40), epochs=3, batch_size=20, seeds=[0],
-            n_uncertainty=5, out_dir=str(tmp_path / "run"),
+            n_uncertainty=5,
             suite=[{"strategy": "baseline"},
                    {"strategy": "soft_ece", "lambda_n": 1.0, "temperature": 0.1}])
-        result = run_suite(cfg)
-        assert result.ok
-        lines = (result.out_dir / "metrics_softmax.csv").read_text().splitlines()
+        out = tmp_path / "run"
+        assert run_suite(cfg, out).ok
+        lines = (out / "metrics_softmax.csv").read_text().splitlines()
         pairs = {tuple(line.split(",")[:2]) for line in lines[1:]}
         assert pairs == {(s, c) for s in ("baseline", "soft_ece")
                          for c in ("max-val-bacc", "min-val-ece")}
-        sel = (result.out_dir / "selection_comparison.csv").read_text().splitlines()
+        sel = (out / "selection_comparison.csv").read_text().splitlines()
         header = sel[0].split(",")
         for col in ("bacc_epoch", "bacc_test_bacc", "bacc_test_ece",
                     "ece_epoch", "ece_test_bacc", "ece_test_ece"):
@@ -428,18 +429,18 @@ def test_criterion_8_uncertainty_estimators():
 
 def test_criterion_9_reproducibility(default_suite, tmp_path):
     with criterion(9, "byte-identical reruns") as info:
-        cfg, first, _ = default_suite
-        second = run_suite(cfg, out_override=str(tmp_path / "rerun"))
-        assert second.ok
-        csvs = sorted(str(p.relative_to(first.out_dir))
-                      for p in first.out_dir.rglob("*.csv"))
-        assert csvs == sorted(str(p.relative_to(second.out_dir))
-                              for p in second.out_dir.rglob("*.csv"))
+        # the rerun goes to another directory: no report, the manifest
+        # included, may depend on where a run is written
+        cfg, first, _, _ = default_suite
+        second = tmp_path / "rerun"
+        assert run_suite(cfg, second).ok
+        csvs = sorted(str(p.relative_to(first)) for p in first.rglob("*.csv"))
+        assert csvs == sorted(str(p.relative_to(second)) for p in second.rglob("*.csv"))
         for rel in csvs:
-            a = (first.out_dir / rel).read_bytes()
-            b = (second.out_dir / rel).read_bytes()
+            a = (first / rel).read_bytes()
+            b = (second / rel).read_bytes()
             assert a == b, rel
-        same_manifest = ((first.out_dir / "manifest.json").read_bytes()
-                         == (second.out_dir / "manifest.json").read_bytes())
+        same_manifest = ((first / "manifest.json").read_bytes()
+                         == (second / "manifest.json").read_bytes())
         assert same_manifest
         info["detail"] = f"{len(csvs)} CSV reports byte-identical across reruns"

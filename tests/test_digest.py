@@ -13,6 +13,8 @@ before the threshold leaves 1.0. The fourth trains paired_confidence,
 confidence_weight and mmce at batch 250, where a batch's training votes
 span several chunks and the pair heads are 250 x 250; the other three
 train at batch 25.
+The first suite's manifest is pinned too: it names no path, so one digest
+holds wherever the run is written.
 Any later change that moves a number must re-pin here and say why. The pins
 hold for float64 numpy on x86-64; another BLAS may round matrix products
 differently.
@@ -83,12 +85,16 @@ PINS = {
         "9efc862ff8682dee72b637c6cf25449a0de049683b6d504c04bc03cddda2227f",
 }
 
+# that run's manifest.json: its config, cells and report list
+MANIFEST_PIN = "880f286c1edbacfccb0aa4abe780086b95b2b6e6d69c8e20403066072c940a12"
+
 
 # the seed-0 suite of bench/README.md: default sizes, all seven default
 # strategies, two seeds, two epochs
 REFERENCE_CONFIG = dict(epochs=2, seeds=[0, 1], data_seed=0)
 
-# every file of that run but manifest.json, which records the run's path.
+# every file of that run but manifest.json, whose digest in bench/README.md
+# dates from when the manifest recorded the run's path.
 # metrics_epistemic.csv and metrics_aleatoric.csv no longer equal the
 # digests in bench/README.md: the test-time votes now read one stream per
 # call, and that list is updated only together with the benchmark.
@@ -250,35 +256,36 @@ LARGE_BATCH_PINS = {
 
 
 def test_report_csvs_match_pins(tmp_path):
-    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **DIGEST_CONFIG))
-    assert result.ok
-    got = {str(p.relative_to(result.out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(result.out_dir.rglob("*.csv"))}
+    out = tmp_path / "run"
+    assert run_suite(ExperimentConfig(**DIGEST_CONFIG), out).ok
+    got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*.csv"))}
     assert got == PINS
+    # the manifest names no path, so one pin holds wherever the run is written
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == MANIFEST_PIN
 
 
 def test_reference_suite_matches_bench_digests(tmp_path):
-    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **REFERENCE_CONFIG))
-    assert result.ok
-    got = {str(p.relative_to(result.out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(result.out_dir.rglob("*"))
+    out = tmp_path / "run"
+    assert run_suite(ExperimentConfig(**REFERENCE_CONFIG), out).ok
+    got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*"))
            if p.is_file() and p.name != "manifest.json"}
     assert got == REFERENCE_PINS
 
 
 def test_avuc_past_warmup_matches_pins(tmp_path):
-    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **AVUC_CONFIG))
-    assert result.ok
-    got = {name: hashlib.sha256((result.out_dir / name).read_bytes()).hexdigest()
-           for name in AVUC_PINS}
+    out = tmp_path / "run"
+    assert run_suite(ExperimentConfig(**AVUC_CONFIG), out).ok
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in AVUC_PINS}
     assert got == AVUC_PINS
-    (cell,) = json.loads((result.out_dir / "manifest.json").read_text())["cells"]
+    (cell,) = json.loads((out / "manifest.json").read_text())["cells"]
     assert cell["selected_epoch"]["max-val-bacc"] >= AVUC_WARMUP_EPOCHS
 
 
 def test_large_batch_kernels_match_pins(tmp_path):
-    result = run_suite(ExperimentConfig(out_dir=str(tmp_path / "run"), **LARGE_BATCH_CONFIG))
-    assert result.ok
-    got = {str(p.relative_to(result.out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(result.out_dir.rglob("*.csv"))}
+    out = tmp_path / "run"
+    assert run_suite(ExperimentConfig(**LARGE_BATCH_CONFIG), out).ok
+    got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*.csv"))}
     assert got == LARGE_BATCH_PINS

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from calibtrain.harness.grid import grid_search
 from calibtrain.harness.suite import run_suite
 from calibtrain.harness.training import AVUC_WARMUP_EPOCHS
 from calibtrain.losses import STRATEGIES, LossSpec
+from calibtrain.model import load_checkpoint
 from calibtrain.uncertainty import uncertainty_records
 
 TINY = dict(sizes=(80, 40, 40), epochs=2, batch_size=20, seeds=[0],
@@ -140,12 +142,18 @@ def test_config_from_dict_rejects_a_non_object():
 
 
 def test_out_dir_env_root(monkeypatch):
-    cfg = tiny_config(out_dir="runs/exp1")
+    def out_dir(*argv):
+        return str(cli.out_dir(cli.build_parser().parse_args(["suite", *argv])))
+
     monkeypatch.setenv("CALIBTRAIN_OUT", "/data/out")
-    assert str(cfg.resolve_out_dir()) == "/data/out/runs/exp1"
-    assert str(cfg.resolve_out_dir("/abs/path")) == "/abs/path"
+    assert out_dir("--out", "runs/exp1") == "/data/out/runs/exp1"
+    assert out_dir("--out", "/abs/path") == "/abs/path"
+    assert out_dir() == "/data/out/runs"
+    monkeypatch.setenv("CALIBTRAIN_OUT", "")
+    assert out_dir() == "runs"
     monkeypatch.delenv("CALIBTRAIN_OUT")
-    assert str(cfg.resolve_out_dir()) == "runs/exp1"
+    assert out_dir("--out", "runs/exp1") == "runs/exp1"
+    assert out_dir() == "runs"
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +425,12 @@ SMALL_SUITE = [{"strategy": "baseline"},
 
 
 def test_suite_reports(tmp_path):
-    cfg = tiny_config(seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE],
-                      out_dir=str(tmp_path / "run"))
-    result = run_suite(cfg)
+    cfg = tiny_config(seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE])
+    out = tmp_path / "run"
+    result = run_suite(cfg, out)
     assert result.ok
     assert len(result.cells) == 4
 
-    out = result.out_dir
     for name in ("metrics_softmax.csv", "metrics_epistemic.csv",
                  "metrics_aleatoric.csv", "selection_comparison.csv",
                  "mcnemar_vs_baseline.csv", "manifest.json"):
@@ -446,11 +453,11 @@ def test_suite_reports(tmp_path):
 
 
 def test_suite_manifest_lists_only_this_runs_reports(tmp_path):
-    out = str(tmp_path / "run")
-    run_suite(tiny_config(suite=[{"strategy": "baseline"}, {"strategy": "avuc"}], out_dir=out))
-    result = run_suite(tiny_config(suite=[{"strategy": "baseline"}], out_dir=out))
-    assert (result.out_dir / "history" / "avuc_seed0.csv").exists()   # left by the first run
-    reports = json.loads((result.out_dir / "manifest.json").read_text())["reports"]
+    out = tmp_path / "run"
+    run_suite(tiny_config(suite=[{"strategy": "baseline"}, {"strategy": "avuc"}]), out)
+    run_suite(tiny_config(suite=[{"strategy": "baseline"}]), out)
+    assert (out / "history" / "avuc_seed0.csv").exists()   # left by the first run
+    reports = json.loads((out / "manifest.json").read_text())["reports"]
     assert reports == sorted(reports)
     assert not [rel for rel in reports if "avuc" in rel or rel == "mcnemar_vs_baseline.csv"]
     assert "history/baseline_seed0.csv" in reports
@@ -458,16 +465,15 @@ def test_suite_manifest_lists_only_this_runs_reports(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_suite_records_failure_without_aborting(tmp_path):
-    cfg = tiny_config(suite=[{"strategy": "baseline"}, dict(EXPLODING)],
-                      out_dir=str(tmp_path / "run"))
-    result = run_suite(cfg)
+    cfg = tiny_config(suite=[{"strategy": "baseline"}, dict(EXPLODING)])
+    result = run_suite(cfg, tmp_path / "run")
     assert not multiprocessing.active_children()
     assert not result.ok
     by_strategy = {c.strategy: c for c in result.cells}
     assert not by_strategy["baseline"].failed
     assert by_strategy["mmce"].failed
     assert "non-finite" in by_strategy["mmce"].failure
-    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     flags = {c["strategy"]: c["failed"] for c in manifest["cells"]}
     assert flags == {"baseline": False, "mmce": True}
 
@@ -510,11 +516,10 @@ def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
     # at 3 epochs, mmce seed 2 selects different epochs under the two
     # criteria, and the other cells select one epoch under both
     cfg = tiny_config(epochs=3, seeds=[0, 2], separation=3.0,
-                      suite=[{"strategy": "baseline"}, {"strategy": "mmce"}],
-                      out_dir=str(tmp_path / "run"))
-    result = run_suite(cfg)
+                      suite=[{"strategy": "baseline"}, {"strategy": "mmce"}])
+    result = run_suite(cfg, tmp_path / "run")
     assert result.ok
-    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     distinct = [len(set(c["selected_epoch"].values())) for c in manifest["cells"]]
     assert sorted(set(distinct)) == [1, 2]
     assert len(calls) == 2 * sum(distinct)
@@ -535,20 +540,18 @@ def test_suite_evaluates_each_selected_epoch_once(tmp_path, monkeypatch):
 
 
 def test_suite_rerun_byte_identical(tmp_path, monkeypatch):
-    cfg = tiny_config(seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE],
-                      out_dir="run")
+    cfg = tiny_config(seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE])
+    a, b = tmp_path / "a", tmp_path / "b"
     # the first run in this process, the second on every CPU
     with monkeypatch.context() as m:
         m.setattr(pool, "available_cpus", lambda: 1)
-        a = run_suite(cfg, out_override=str(tmp_path / "a"))
-    b = run_suite(cfg, out_override=str(tmp_path / "b"))
+        run_suite(cfg, a)
+    run_suite(cfg, b)
     assert not multiprocessing.active_children()
-    names = sorted(str(p.relative_to(a.out_dir))
-                   for p in a.out_dir.rglob("*") if p.is_file())
-    assert names == sorted(str(p.relative_to(b.out_dir))
-                           for p in b.out_dir.rglob("*") if p.is_file())
+    names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
     for name in names:
-        assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("cpus, n_cells, workers", [
@@ -594,23 +597,23 @@ def test_suite_worker_killed_mid_cell_fails_unfinished_cells(tmp_path, monkeypat
 
     # fork hands the patched function to the workers
     monkeypatch.setattr(suite, "_run_cell", dying)
-    cfg = tiny_config(epochs=1, seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE],
-                      out_dir=str(tmp_path / "run"))
-    result = run_suite(cfg)
+    cfg = tiny_config(epochs=1, seeds=[0, 1], suite=[dict(s) for s in SMALL_SUITE])
+    out = tmp_path / "run"
+    result = run_suite(cfg, out)
     assert not multiprocessing.active_children()
     assert not result.ok
     failed = {(c.strategy, c.seed): c.failure for c in result.cells if c.failed}
     assert {("soft_ece", 0), ("soft_ece", 1)} <= failed.keys()
     assert all(f.startswith("BrokenProcessPool: ") for f in failed.values())
-    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
     assert [c["failed"] for c in manifest["cells"]] == [c.failed for c in result.cells]
-    assert (result.out_dir / "metrics_softmax.csv").exists()
+    assert (out / "metrics_softmax.csv").exists()
 
 
 def test_suite_failed_report_write_leaves_no_manifest(tmp_path, monkeypatch):
-    cfg = tiny_config(epochs=1, suite=[{"strategy": "baseline"}],
-                      out_dir=str(tmp_path / "run"))
-    out = run_suite(cfg).out_dir
+    cfg = tiny_config(epochs=1, suite=[{"strategy": "baseline"}])
+    out = tmp_path / "run"
+    run_suite(cfg, out)
     assert (out / "manifest.json").exists()
     render = suite.write_reliability_svg
 
@@ -621,7 +624,7 @@ def test_suite_failed_report_write_leaves_no_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setattr(suite, "write_reliability_svg", failing)
     with pytest.raises(OSError, match="disk full"):
-        run_suite(cfg)
+        run_suite(cfg, out)
     # the earlier run's manifest no longer vouches for the directory
     assert [p.name for p in out.iterdir() if "manifest" in p.name] == []
 
@@ -692,6 +695,74 @@ def test_cli_train_failed_run_writes_history_only(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run failed: non-finite")
     assert (out / "history.csv").read_text().splitlines() == ["epoch,train_loss,val_bacc,val_ece"]
     assert not (out / "checkpoints").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
+    out = tmp_path / "train"
+    argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
+            "--batch-size", "20"]
+    assert main(argv) == 0
+    assert (out / "checkpoints" / "max-val-bacc" / "params.bin").exists()
+    assert main([*argv, "--set", "lr_vae=1e300"]) == 1
+    assert (out / "history.csv").read_text().splitlines() == ["epoch,train_loss,val_bacc,val_ece"]
+    # the first run's model must not pass for this run's
+    assert not [p for p in (out / "checkpoints").rglob("*") if p.is_file()]
+    for criterion in CRITERIA:
+        with pytest.raises(OSError):
+            load_checkpoint(out / "checkpoints" / criterion)
+
+
+def test_cli_train_runs_the_first_of_seeds(tmp_path):
+    out = tmp_path / "train"
+    assert main(["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
+                 "--batch-size", "20", "--seeds", "3,1"]) == 0
+    for criterion in CRITERIA:
+        manifest = json.loads((out / "checkpoints" / criterion / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["extra"]["seed"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "3"],                   # train runs the first of --seeds
+    ["train", "--criterion", "min-val-ece"],    # train keeps a checkpoint per criterion
+    ["suite", "--strategy", "mmce"],            # suite trains its suite list, not the loss
+], ids=["train-seed", "train-criterion", "suite-strategy"])
+def test_cli_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
+              "--seeds", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "suite"])
+def test_cli_refuses_a_config_that_names_an_output_directory(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    elsewhere = tmp_path / "elsewhere"
+    config.write_text(json.dumps({"out_dir": str(elsewhere), "sizes": [80, 40, 40],
+                                  "epochs": 1, "seeds": [0], "grid": {"lambda_n": [0.0]}}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config keys: ['out_dir']"]
+    assert not out.exists() and not elsewhere.exists()
+
+
+def test_cli_suite_manifest_is_the_same_wherever_written(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sizes": [80, 40, 40], "epochs": 1, "batch_size": 20, "seeds": [0],
+        "n_uncertainty": 3, "suite": [{"strategy": "baseline"}],
+    }))
+    monkeypatch.setenv("CALIBTRAIN_OUT", str(tmp_path))
+    for out in ("a", "b/c"):
+        assert main(["suite", "--config", str(config), "--out", out]) == 0
+    first, second = ((tmp_path / out / "manifest.json").read_bytes() for out in ("a", "b/c"))
+    assert first == second
+    manifest = json.loads(first)
+    assert manifest["config_hash"] == config_hash(ExperimentConfig.from_dict(manifest["config"]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -819,6 +890,21 @@ def test_strategy_names_agree_across_readme_cli_and_default_suite():
     assert [entry["strategy"] for entry in DEFAULT_SUITE] == list(STRATEGIES)
 
 
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [words[words.index("calibtrain") + 1:] for words in lines if "calibtrain" in words]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README: calibtrain {shlex.join(argv)} does not parse")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(sub.choices)
+
+
 def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing")]) == 1
     assert main(["plot", str(tmp_path)]) == 1
@@ -860,6 +946,9 @@ def test_cli_bad_inputs(tmp_path, capsys):
 ], ids=["list", "string", "number", "not_json", "not_utf8"])
 @pytest.mark.parametrize("command", ["train", "suite"])
 def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, problem, flags):
+    if command == "suite" and flags[:1] == ["--strategy"]:
+        # suite takes no --strategy: its strategies are the config's suite list
+        flags = ["--set", 'suite=[{"strategy": "mmce"}]', *flags[2:]]
     config = tmp_path / "config.json"
     config.write_bytes(content)
     out = tmp_path / "run"
@@ -874,7 +963,7 @@ def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, probl
     (["suite", "--seeds", "1,1"], "seeds must be distinct"),
     (["suite", "--data-seed", "-1"], "data_seed must be non-negative"),
     (["suite", "--seeds", "1,x"], "--seeds expects comma-separated integers"),
-    (["train", "--seed", "-1"], "--seed must be non-negative"),
+    (["train", "--seeds", "-1"], "seeds must be non-negative"),
     (["suite", "--seeds", "0", "--set", "hidden=0"], "hidden must be >= 1, got 0"),
     # the AvUC threshold is training state, not a loss or grid key
     (["train", "--set", 'loss={"strategy": "avuc", "avuc_threshold": 0.5}'], "avuc_threshold"),
@@ -987,9 +1076,9 @@ def test_bench_tracer_hooks_cover_suite_and_restore(tmp_path, monkeypatch):
     tracer.install()
     tracer.round = 0
     try:
-        cfg = tiny_config(epochs=1, seeds=[0], out_dir=str(tmp_path / "run"),
+        cfg = tiny_config(epochs=1, seeds=[0],
                           suite=[{"strategy": "baseline"}, {"strategy": "confidence_weight"}])
-        result = run_suite(cfg)
+        result = run_suite(cfg, tmp_path / "run")
     finally:
         tracer.restore()
     for owner, names in zip(owners, before):
