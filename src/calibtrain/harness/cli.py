@@ -4,8 +4,10 @@ Subcommands:
   train           one training run: epoch history plus best checkpoints
   grid            inner 2-fold grid search, per-cell table
   suite           full strategy x seed evaluation bundle
-  report          print the aggregate tables of a finished suite run
-  plot            re-render reliability SVGs from a run's CSV tables
+  report          print the tables that a finished suite run's manifest lists
+  plot            re-render reliability SVGs from the CSV tables it lists
+
+A file in a run directory that its manifest.json does not list is ignored.
 
 Every run subcommand accepts ``--config FILE`` (JSON) plus flag overrides;
 flags win over the file. ``--set KEY=VALUE`` overrides any config field,
@@ -17,6 +19,7 @@ reads. No config field names the output directory: ``--out`` (default
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,8 +31,8 @@ from ..metrics import Bin, BinTable
 from ..model import VaeClassifier, save_checkpoint
 from .config import CRITERIA, ExperimentConfig
 from .grid import grid_search
-from .suite import (EVAL_MODES, HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split,
-                    history_rows, reliability_title, run_suite, write_csv)
+from .suite import (HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split, history_rows,
+                    reliability_title, run_suite, write_csv)
 from .svg import write_reliability_svg
 from .training import train
 
@@ -96,6 +99,9 @@ def cmd_train(args) -> int:
     for criterion in CRITERIA:
         for name in ("manifest.json", "params.bin"):
             (out / "checkpoints" / criterion / name).unlink(missing_ok=True)
+    for folder in (*(out / "checkpoints" / c for c in CRITERIA), out / "checkpoints"):
+        with contextlib.suppress(OSError):      # rmdir removes only an empty directory
+            folder.rmdir()
     split = generate_split(config)
     history = train(config, split, seed=seed, spec=spec)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,13 +126,14 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     config = load_config(args)
+    out = out_dir(args)
+    (out / "grid.csv").unlink(missing_ok=True)     # an earlier grid's table is not this one's
     split = generate_split(config)
     try:
         result = grid_search(config, split)
     except RuntimeError as err:
         print(f"grid search failed: {err}", file=sys.stderr)
         return 1
-    out = out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     keys = sorted(config.grid)
     rows = []
@@ -183,25 +190,36 @@ def _print_table(table: list[list[str]]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def cmd_report(args) -> int:
-    run = Path(args.run_dir)
-    manifest_path = run / "manifest.json"
-    if not manifest_path.exists():
+def _manifest(run: Path, folder: str) -> tuple[dict, list[Path]] | None:
+    """A run's manifest and the CSV tables in its ``folder`` that ``reports``
+    names, in that order; None, once reported, if the run has no manifest."""
+    path = run / "manifest.json"
+    if not path.exists():
         print(f"no manifest.json under {run}", file=sys.stderr)
+        return None
+    manifest = _read(path, json.loads, "JSON")
+    names = manifest.get("reports") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not all(
+            isinstance(name, str) and not Path(name).is_absolute() and ".." not in Path(name).parts
+            for name in names):
+        raise ValueError(f"malformed manifest {path}: reports must list paths inside the run")
+    return manifest, [run / name for name in names
+                      if Path(name).parent == Path(folder) and name.endswith(".csv")]
+
+
+def cmd_report(args) -> int:
+    if (found := _manifest(Path(args.run_dir), ".")) is None:
         return 1
-    manifest = _read(manifest_path, json.loads, "JSON")
+    manifest, paths = found
     try:
         header = f"config hash {manifest['config_hash']}, seeds {manifest['seeds']}"
         failed = [f"  {c['strategy']} seed {c['seed']}: {c['failure']}"
                   for c in manifest["cells"] if c["failed"]]
     except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed manifest {manifest_path}: "
+        raise ValueError(f"malformed manifest {Path(args.run_dir, 'manifest.json')}: "
                          f"{type(err).__name__}: {err}") from None
     # read every table before printing any, so a bad table prints nothing
-    names = [f"metrics_{mode}" for mode in EVAL_MODES]
-    names += ["selection_comparison", "mcnemar_vs_baseline"]
-    tables = [(name, _read(run / f"{name}.csv", _parse_table, "a CSV table"))
-              for name in names if (run / f"{name}.csv").exists()]
+    tables = [(path.stem, _read(path, _parse_table, "a CSV table")) for path in paths]
     print(header)
     if failed:
         print(f"{len(failed)} failed cell(s):")
@@ -239,14 +257,10 @@ def _table_from_csv(path: Path) -> BinTable:
 
 
 def cmd_plot(args) -> int:
-    run = Path(args.run_dir)
-    rel = run / "reliability"
-    paths = sorted(rel.glob("*.csv")) if rel.is_dir() else []
-    if not paths:
-        print(f"no reliability tables under {rel}", file=sys.stderr)
+    if (found := _manifest(Path(args.run_dir), "reliability")) is None:
         return 1
     # read every table before writing any SVG, so a bad table writes nothing
-    tables = [(path, _table_from_csv(path)) for path in paths]
+    tables = [(path, _table_from_csv(path)) for path in found[1]]
     for path, table in tables:
         suffix = f"_{table.scheme}"
         strategy = path.stem[: -len(suffix)]

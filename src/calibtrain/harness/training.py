@@ -71,6 +71,7 @@ def _mean_accurate_entropy(probs: np.ndarray, correct: np.ndarray,
     return float(min(ent.mean(), 1.0))
 
 
+@np.errstate(all="ignore")      # the non-finite checks below stop the run and name why
 def train(config: ExperimentConfig, split: DataSplit, seed: int,
           spec: LossSpec | None = None) -> EpochHistory:
     """Run one training job; returns the epoch history with best checkpoints.

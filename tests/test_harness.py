@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -242,7 +243,6 @@ def test_train_records_best_per_criterion():
         assert stored["params"] is not None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_abort_keeps_partial_history():
     cfg = tiny_config()
     history = train(cfg, tiny_split(cfg), seed=0,
@@ -393,7 +393,6 @@ def test_grid_later_cell_wins(monkeypatch, criterion):
     assert result.best == LossSpec(strategy="probability", lambda_n=0.3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_failed_cell_has_no_mean_score():
     cfg = tiny_config(epochs=1, loss=dict(EXPLODING), grid={"lambda_n": [1.0, 1e308]})
     result = grid_search(cfg, tiny_split(cfg))
@@ -403,7 +402,6 @@ def test_grid_failed_cell_has_no_mean_score():
     assert result.best.lambda_n == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_all_cells_failed():
     cfg = tiny_config(loss=dict(EXPLODING), grid={"lambda_n": [1e308]})
     with pytest.raises(RuntimeError, match="every grid cell failed"):
@@ -463,7 +461,6 @@ def test_suite_manifest_lists_only_this_runs_reports(tmp_path):
     assert "history/baseline_seed0.csv" in reports
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_suite_records_failure_without_aborting(tmp_path):
     cfg = tiny_config(suite=[{"strategy": "baseline"}, dict(EXPLODING)])
     result = run_suite(cfg, tmp_path / "run")
@@ -666,7 +663,6 @@ def test_cli_grid(tmp_path, capsys):
     assert "best cell" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_suite_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -686,7 +682,6 @@ def test_cli_suite_failure_exit_code(tmp_path, capsys):
     assert "metrics_softmax" in lines[at + 2:]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_train_failed_run_writes_history_only(tmp_path, capsys):
     out = tmp_path / "train"
     argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "2",
@@ -697,7 +692,6 @@ def test_cli_train_failed_run_writes_history_only(tmp_path, capsys):
     assert not (out / "checkpoints").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
     out = tmp_path / "train"
     argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
@@ -706,11 +700,29 @@ def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
     assert (out / "checkpoints" / "max-val-bacc" / "params.bin").exists()
     assert main([*argv, "--set", "lr_vae=1e300"]) == 1
     assert (out / "history.csv").read_text().splitlines() == ["epoch,train_loss,val_bacc,val_ece"]
-    # the first run's model must not pass for this run's
-    assert not [p for p in (out / "checkpoints").rglob("*") if p.is_file()]
+    # the first run's model must not pass for this run's, nor its folders linger
+    assert not (out / "checkpoints").exists()
     for criterion in CRITERIA:
         with pytest.raises(OSError):
             load_checkpoint(out / "checkpoints" / criterion)
+    # a folder that holds a file the run did not write is kept, with the file
+    assert main(argv) == 0
+    note = out / "checkpoints" / "min-val-ece" / "notes.txt"
+    note.write_text("mine")
+    assert main([*argv, "--set", "lr_vae=1e300"]) == 1
+    assert sorted(p.relative_to(out) for p in (out / "checkpoints").rglob("*")) == [
+        Path("checkpoints/min-val-ece"), Path("checkpoints/min-val-ece/notes.txt")]
+    assert note.read_text() == "mine"
+
+
+def test_cli_failed_train_prints_one_line_and_no_warning(tmp_path, capsys):
+    argv = ["train", "--out", str(tmp_path / "train"), "--set", "sizes=[80,40,40]",
+            "--epochs", "1", "--batch-size", "20", "--set", "lr_vae=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed: non-finite")
 
 
 def test_cli_train_runs_the_first_of_seeds(tmp_path):
@@ -765,7 +777,6 @@ def test_cli_suite_manifest_is_the_same_wherever_written(tmp_path, monkeypatch, 
     assert manifest["config_hash"] == config_hash(ExperimentConfig.from_dict(manifest["config"]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_grid_every_cell_failed(tmp_path, capsys):
     out = tmp_path / "grid"
     argv = ["grid", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
@@ -774,6 +785,17 @@ def test_cli_grid_every_cell_failed(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == "grid search failed: every grid cell failed\n"
     assert not out.exists()
+
+
+def test_cli_failed_grid_leaves_no_earlier_table(tmp_path, capsys):
+    out = tmp_path / "grid"
+    argv = ["grid", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1"]
+    assert main([*argv, "--strategy", "probability", "--set", 'grid={"lambda_n": [0.5]}']) == 0
+    assert (out / "grid.csv").exists()
+    assert main([*argv, "--strategy", "mmce", "--set", 'grid={"lambda_n": [1e308]}']) == 1
+    assert capsys.readouterr().err.endswith("grid search failed: every grid cell failed\n")
+    # the probability run's table must not pass for this run's
+    assert not (out / "grid.csv").exists()
 
 
 def test_cli_train_checks_loss_keys_its_strategy_does_not_read(tmp_path, capsys):
@@ -807,12 +829,58 @@ def test_cli_report_and_plot(tmp_path, capsys):
     assert svg.read_bytes() == before
 
 
+HEADER = {"config_hash": "abc", "seeds": [0], "cells": []}
+
+
+def write_manifest(run: Path, *reports: str) -> None:
+    """A hand-made run: a manifest with no cells that lists ``reports``."""
+    (run / "manifest.json").write_text(json.dumps({**HEADER, "reports": sorted(reports)}))
+
+
+@pytest.fixture(scope="module")
+def stale_run(tmp_path_factory):
+    """A baseline+mmce suite, then a baseline-only suite into the same
+    directory, which leaves the first run's mmce files behind."""
+    run = tmp_path_factory.mktemp("stale") / "run"
+    argv = ["suite", "--out", str(run), "--set", "sizes=[80,40,40]", "--epochs", "1",
+            "--batch-size", "20", "--seeds", "0", "--set", "n_uncertainty=3"]
+    assert main([*argv, "--set", 'suite=[{"strategy": "baseline"}, {"strategy": "mmce"}]']) == 0
+    assert main([*argv, "--set", 'suite=[{"strategy": "baseline"}]']) == 0
+    assert (run / "mcnemar_vs_baseline.csv").exists()
+    assert (run / "reliability" / "mmce_adaptive.csv").exists()
+    return run
+
+
+def test_cli_report_prints_only_the_tables_the_manifest_lists(stale_run, capsys):
+    capsys.readouterr()
+    assert main(["report", str(stale_run)]) == 0
+    tables = [line for line in capsys.readouterr().out.splitlines()
+              if re.fullmatch(r"[a-z_]+", line)]
+    assert tables == ["metrics_aleatoric", "metrics_epistemic", "metrics_softmax",
+                      "selection_comparison"]
+
+
+def test_cli_plot_renders_only_the_tables_the_manifest_lists(stale_run):
+    for svg in (stale_run / "reliability").glob("*.svg"):
+        svg.unlink()
+    assert main(["plot", str(stale_run)]) == 0
+    rendered = sorted(p.name for p in (stale_run / "reliability").glob("*.svg"))
+    assert rendered == ["baseline_adaptive.svg", "baseline_equal_width.svg"]
+
+
+# a reports list that is absent, not a list of strings, or leaves the run
+BAD_REPORTS = [HEADER, {**HEADER, "reports": "metrics_softmax.csv"}, {**HEADER, "reports": [5]},
+               {**HEADER, "reports": ["/abs/metrics_softmax.csv"]},
+               {**HEADER, "reports": ["reliability/../../x_adaptive.csv"]}]
+
+
 @pytest.mark.parametrize("manifest", [
-    {"seeds": [0], "cells": []},
-    {"config_hash": "abc", "cells": []},
-    {"config_hash": "abc", "seeds": [0]},
-    {"config_hash": "abc", "seeds": [0], "cells": [{"strategy": "baseline"}]},
+    {"seeds": [0], "cells": [], "reports": []},
+    {"config_hash": "abc", "cells": [], "reports": []},
+    {"config_hash": "abc", "seeds": [0], "reports": []},
+    {"config_hash": "abc", "seeds": [0], "cells": [{"strategy": "baseline"}], "reports": []},
     ["not", "an", "object"],
+    *BAD_REPORTS,
 ])
 def test_cli_report_malformed_manifest(tmp_path, capsys, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -820,6 +888,24 @@ def test_cli_report_malformed_manifest(tmp_path, capsys, manifest):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: malformed manifest")
+
+
+@pytest.mark.parametrize("manifest", [["not", "an", "object"], *BAD_REPORTS])
+def test_cli_plot_malformed_manifest(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["plot", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed manifest") and err.count("\n") == 1
+
+
+def test_cli_report_and_plot_refuse_a_listed_table_that_is_missing(tmp_path, capsys):
+    write_manifest(tmp_path, "metrics_softmax.csv", "reliability/baseline_adaptive.csv")
+    for command, missing in (("report", tmp_path / "metrics_softmax.csv"),
+                             ("plot", tmp_path / "reliability" / "baseline_adaptive.csv")):
+        assert main([command, str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_cli_report_manifest_not_json(tmp_path, capsys):
@@ -838,8 +924,7 @@ def test_cli_report_manifest_not_json(tmp_path, capsys):
      "line 2 has 4 columns, expected 3"),
 ], ids=["empty", "short_row", "long_row"])
 def test_cli_report_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
-    (tmp_path / "manifest.json").write_text(
-        json.dumps({"config_hash": "abc", "seeds": [0], "cells": []}))
+    write_manifest(tmp_path, "metrics_softmax.csv", "metrics_epistemic.csv")
     (tmp_path / "metrics_softmax.csv").write_text(
         "strategy,criterion,ece_mean\nbaseline,max-val-bacc,0.1\n")
     bad = tmp_path / "metrics_epistemic.csv"
@@ -852,8 +937,7 @@ def test_cli_report_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
 
 
 def test_cli_report_and_plot_name_a_table_that_is_not_utf8(tmp_path, capsys):
-    (tmp_path / "manifest.json").write_text(
-        json.dumps({"config_hash": "abc", "seeds": [0], "cells": []}))
+    write_manifest(tmp_path, "metrics_softmax.csv", "reliability/x_adaptive.csv")
     metrics = tmp_path / "metrics_softmax.csv"
     metrics.write_bytes(b"\xffstrategy,criterion\n")
     (tmp_path / "reliability").mkdir()
@@ -908,8 +992,7 @@ def test_readme_command_lines_parse():
 def test_cli_bad_inputs(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing")]) == 1
     assert main(["plot", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"no reliability tables under {tmp_path / 'reliability'}")
+    assert capsys.readouterr().err.splitlines()[-1] == f"no manifest.json under {tmp_path}"
     assert main(["train", "--set", "badformat"]) == 2
     assert main(["train", "--set", "epochz=3"]) == 2
     capsys.readouterr()
@@ -1008,7 +1091,6 @@ def test_cli_rejects_zero_epochs_before_writing(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_suite_prints_progress_per_cell(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -1041,19 +1123,23 @@ def test_cli_plot_rejects_bad_tables(tmp_path, capsys, bad_table, problem):
     (rel / "baseline_equal_width.csv").write_text(GOOD_TABLE)
     bad = rel / "soft_ece_adaptive.csv"
     bad.write_text(bad_table)
+    write_manifest(tmp_path, "reliability/baseline_equal_width.csv",
+                   "reliability/soft_ece_adaptive.csv")
     assert main(["plot", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith(f"error: {bad}: ") and problem in err
     assert not list(rel.glob("*.svg")) and out == ""
-    bad.unlink()
+    write_manifest(tmp_path, "reliability/baseline_equal_width.csv")
     assert main(["plot", str(tmp_path)]) == 0
     assert (rel / "baseline_equal_width.svg").exists()
+    assert not (rel / "soft_ece_adaptive.svg").exists()     # on disk, but not listed
     capsys.readouterr()
     # a table whose name names no binning scheme is refused as well
     (rel / "baseline_equal_width.svg").unlink()
     misnamed = rel / "mytable.csv"
     misnamed.write_text(GOOD_TABLE)
+    write_manifest(tmp_path, "reliability/baseline_equal_width.csv", "reliability/mytable.csv")
     assert main(["plot", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert err.strip().splitlines() == [err.strip()]
