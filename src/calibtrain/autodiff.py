@@ -10,8 +10,8 @@ trajectories.
 
 Trainable values live in a :class:`ParamSet`, laid out once from one ordered
 mapping: one contiguous float64 buffer with a named view per parameter, and a
-gradient buffer of the same layout, so :class:`Adam` updates every parameter
-with a handful of vector ops.
+gradient buffer of the same layout, so :class:`Adam` updates every parameter,
+at one learning rate, with a handful of vector ops.
 """
 
 from __future__ import annotations
@@ -137,33 +137,20 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator fl
 
 
 class Adam:
-    """Adam update (``BETA1``, ``BETA2``, ``EPS``); zeroes grads after a step.
+    """Adam update (``BETA1``, ``BETA2``, ``EPS``) at one rate ``lr``; zeroes
+    grads after a step.
 
-    ``lr_overrides`` maps parameter-name prefixes to rates; the longest
-    matching prefix wins, so heads of one model can train at different speeds.
-    The moments and the per-element rates span the whole parameter buffer,
-    and every operation is elementwise, so one vector update gives the same
-    bits as updating each parameter on its own.
+    The moments span the whole parameter buffer and every operation is
+    elementwise, so one vector update gives the same bits as updating each
+    parameter on its own.
     """
 
-    def __init__(self, params: ParamSet, lr: float = 1e-3,
-                 lr_overrides: dict[str, float] | None = None):
+    def __init__(self, params: ParamSet, lr: float = 1e-3):
         self.params = params
         self.lr = float(lr)
-        self.lr_overrides = dict(lr_overrides or {})
         self.t = 0
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
-        self._rates = np.empty_like(params.flat)
-        for name, span in params.slices():
-            self._rates[span] = self._rate(name)
-
-    def _rate(self, name: str) -> float:
-        best, rate = -1, self.lr
-        for prefix, lr in self.lr_overrides.items():
-            if name.startswith(prefix) and len(prefix) > best:
-                best, rate = len(prefix), lr
-        return rate
 
     def step(self) -> None:
         g = self.params.grad
@@ -182,5 +169,5 @@ class Adam:
         v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        self.params.flat -= self._rates * m_hat / (np.sqrt(v_hat) + EPS)
+        self.params.flat -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         self.params.zero_grad()

@@ -32,7 +32,7 @@ from ..model import VaeClassifier, save_checkpoint
 from .config import CRITERIA, ExperimentConfig
 from .grid import grid_search
 from .suite import (HISTORY_COLUMNS, RELIABILITY_COLUMNS, generate_split, history_rows,
-                    reliability_title, run_suite, write_csv)
+                    listed_reports, reliability_title, run_suite, write_csv)
 from .svg import write_reliability_svg
 from .training import train
 
@@ -198,10 +198,7 @@ def _manifest(run: Path, folder: str) -> tuple[dict, list[Path]] | None:
         print(f"no manifest.json under {run}", file=sys.stderr)
         return None
     manifest = _read(path, json.loads, "JSON")
-    names = manifest.get("reports") if isinstance(manifest, dict) else None
-    if not isinstance(names, list) or not all(
-            isinstance(name, str) and not Path(name).is_absolute() and ".." not in Path(name).parts
-            for name in names):
+    if (names := listed_reports(manifest)) is None:
         raise ValueError(f"malformed manifest {path}: reports must list paths inside the run")
     return manifest, [run / name for name in names
                       if Path(name).parent == Path(folder) and name.endswith(".csv")]

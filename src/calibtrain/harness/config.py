@@ -59,8 +59,7 @@ class ExperimentConfig:
     # optimization
     epochs: int = 50
     batch_size: int = 25
-    lr_vae: float = 1e-3
-    lr_classifier: float = 1e-3
+    lr: float = 1e-3
     # loss for single-run training / grid search
     loss: dict = field(default_factory=lambda: {"strategy": "baseline"})
     # model selection
@@ -81,7 +80,7 @@ class ExperimentConfig:
         for name in ("d", "hidden", "latent", "epochs", "batch_size", "data_seed",
                      "n_uncertainty"):
             setattr(self, name, checked_int(name, getattr(self, name)))
-        for name in ("separation", "noise_rate", "positive_fraction", "lr_vae", "lr_classifier"):
+        for name in ("separation", "noise_rate", "positive_fraction", "lr"):
             check_number(name, getattr(self, name))
         if not isinstance(self.seeds, (list, tuple)):
             raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
@@ -95,8 +94,8 @@ class ExperimentConfig:
         for name in ("d", "hidden", "latent", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr_vae <= 0 or self.lr_classifier <= 0:
-            raise ValueError("learning rates must be positive")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
         if not self.seeds:

@@ -18,7 +18,7 @@ repr (shortest round-trip form), rows follow deterministic orders, and no
 timestamps or paths appear anywhere, so re-running a suite reproduces every
 byte, in the same directory or another.
 The manifest is written last and atomically, so a run directory that has
-one holds every report.
+one holds every report; a rerun first removes what the earlier one lists.
 """
 
 from __future__ import annotations
@@ -229,10 +229,29 @@ def run_suite(config: ExperimentConfig, out: Path) -> SuiteResult:
 # report emission
 # ---------------------------------------------------------------------------
 
+def listed_reports(manifest) -> list[str] | None:
+    """A parsed manifest's ``reports``, the run's files as paths inside its
+    directory; None unless it lists only such paths (none absolute or with ``..``)."""
+    names = manifest.get("reports") if isinstance(manifest, dict) else None
+    if isinstance(names, list) and all(isinstance(name, str) and not Path(name).is_absolute()
+                                       and ".." not in Path(name).parts for name in names):
+        return names
+    return None
+
+
 def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path) -> None:
-    # a manifest marks a complete run directory: drop an earlier run's before
-    # writing any report, and write this run's after every report
-    (out / "manifest.json").unlink(missing_ok=True)
+    # a manifest marks a complete run directory: drop an earlier run's, and the
+    # files it lists, before writing any report; write this run's after every report
+    earlier = out / "manifest.json"
+    if earlier.exists():
+        try:
+            listed = listed_reports(json.loads(earlier.read_text())) or []
+        except ValueError:             # not JSON, or not UTF-8: it lists nothing
+            listed = []
+        for path in (out / name for name in listed):
+            if path.is_file():
+                path.unlink()
+        earlier.unlink()
     strategies = [entry["strategy"] for entry in config.suite]
     written: list[Path] = []          # the manifest lists these, not what else is in ``out``
 
@@ -252,17 +271,11 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
     for mode in EVAL_MODES:
         rows = []
         for strategy in strategies:
+            ok = [c for c in (by_key[(strategy, seed)] for seed in config.seeds) if not c.failed]
             for criterion in CRITERIA:
                 row = [strategy, criterion]
                 for col in METRIC_COLUMNS:
-                    vals = []
-                    for seed in config.seeds:
-                        cell = by_key[(strategy, seed)]
-                        if cell.failed:
-                            continue
-                        vals.append(cell.metrics[criterion][mode][col])
-                    mean, std = _aggregate(vals)
-                    row.extend([mean, std])
+                    row.extend(_aggregate([c.metrics[criterion][mode][col] for c in ok]))
                 rows.append(row)
         header = ["strategy", "criterion"]
         for col in METRIC_COLUMNS:
@@ -319,8 +332,9 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             table = reliability_table(records, scheme, 15)
             rows = [[r[col] for col in RELIABILITY_COLUMNS] for r in table.rows()]
             report(rel_dir / f"{strategy}_{scheme}.csv", RELIABILITY_COLUMNS, rows)
-            write_reliability_svg(table, rel_dir / f"{strategy}_{scheme}.svg",
-                                  reliability_title(strategy, scheme))
+            svg = rel_dir / f"{strategy}_{scheme}.svg"
+            write_reliability_svg(table, svg, reliability_title(strategy, scheme))
+            written.append(svg)
 
     # manifest: config hash plus a traceable index of every cell
     manifest = {

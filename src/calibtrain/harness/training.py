@@ -89,8 +89,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
 
     model = VaeClassifier(d=config.d, hidden=config.hidden, latent=config.latent,
                           seed=seed)
-    opt = Adam(model.params, lr=config.lr_vae,
-               lr_overrides={"clf.": config.lr_classifier})
+    opt = Adam(model.params, lr=config.lr)
     rng = np.random.default_rng((seed, 1))
     history = EpochHistory()
     n = x_train.shape[0]

@@ -198,16 +198,6 @@ class TestAdam:
             assert str(err.value) == f"non-finite gradient in parameter {name!r}"
             assert np.array_equal(ps.flat, np.ones(9))   # nothing was updated
 
-    def test_lr_overrides_longest_prefix_wins(self):
-        ps = ad.ParamSet({"enc.w": np.array(0.0), "clf.w": np.array(0.0)})
-        a, b = ps["enc.w"], ps["clf.w"]
-        opt = ad.Adam(ps, lr=0.1, lr_overrides={"clf.": 0.01})
-        a.grad[...] = 1.0
-        b.grad[...] = 1.0
-        opt.step()
-        assert abs(float(a.value) + 0.1 / (1 + 1e-8)) < 1e-15
-        assert abs(float(b.value) + 0.01 / (1 + 1e-8)) < 1e-15
-
 
 def test_paramset_views_share_one_buffer():
     ps = ad.ParamSet({"a": np.array([1.0, 2.0]), "b": np.array([[3.0], [4.0]]),

@@ -75,7 +75,7 @@ def test_config_hash_changes_with_fields():
     dict(sizes=(10, 10)),
     dict(epochs=-1),
     dict(batch_size=0),
-    dict(lr_vae=0.0),
+    dict(lr=0.0),
     dict(criterion="max-test-acc"),
     dict(seeds=[]),
     dict(seeds=[-1]),
@@ -98,7 +98,7 @@ def test_config_hash_changes_with_fields():
     dict(sizes="abc"),
     dict(d=8.5),
     dict(separation="2"),
-    dict(lr_vae=None),
+    dict(lr=None),
     dict(loss={"strategy": ["avuc"]}),
     dict(loss={"strategy": "soft_ece", "n_bins": 15.5}),
     dict(loss={"strategy": "soft_ece", "n_bins": True}),
@@ -122,8 +122,7 @@ def test_config_rejects_bad_values(bad):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["sizes", "d", "separation", "noise_rate",
                                    "positive_fraction", "data_seed", "hidden", "latent",
-                                   "epochs", "batch_size", "lr_vae", "lr_classifier",
-                                   "seeds", "n_uncertainty"])
+                                   "epochs", "batch_size", "lr", "seeds", "n_uncertainty"])
 def test_config_rejects_non_finite_numbers(field, value):
     # a NaN passes a range check written as `x <= 0`: refuse it by type
     kw = dict(TINY)
@@ -454,11 +453,41 @@ def test_suite_manifest_lists_only_this_runs_reports(tmp_path):
     out = tmp_path / "run"
     run_suite(tiny_config(suite=[{"strategy": "baseline"}, {"strategy": "avuc"}]), out)
     run_suite(tiny_config(suite=[{"strategy": "baseline"}]), out)
-    assert (out / "history" / "avuc_seed0.csv").exists()   # left by the first run
+    assert not (out / "history" / "avuc_seed0.csv").exists()   # the first run's, removed
     reports = json.loads((out / "manifest.json").read_text())["reports"]
     assert reports == sorted(reports)
     assert not [rel for rel in reports if "avuc" in rel or rel == "mcnemar_vs_baseline.csv"]
     assert "history/baseline_seed0.csv" in reports
+    assert "reliability/baseline_adaptive.svg" in reports
+
+
+def test_suite_rerun_removes_the_files_the_earlier_manifest_lists(tmp_path):
+    out = tmp_path / "run"
+    run_suite(tiny_config(suite=[{"strategy": "baseline"}, {"strategy": "mmce"}]), out)
+    (out / "notes.txt").write_text("mine")         # no run wrote it: kept
+    run_suite(tiny_config(suite=[{"strategy": "baseline"}]), out)
+    reports = json.loads((out / "manifest.json").read_text())["reports"]
+    left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert left == sorted([*reports, "manifest.json", "notes.txt"])
+    for stale in ("mcnemar_vs_baseline.csv", "history/mmce_seed0.csv",
+                  "reliability/mmce_adaptive.csv", "reliability/mmce_equal_width.svg"):
+        assert not (out / stale).exists()
+
+
+@pytest.mark.parametrize("earlier", [
+    b"{bad", b"\xff{}", json.dumps({"reports": "mcnemar_vs_baseline.csv"}).encode(),
+    json.dumps({"reports": ["mcnemar_vs_baseline.csv", "../outside.csv"]}).encode(),
+], ids=["not_json", "not_utf8", "not_a_list", "outside_the_run"])
+def test_suite_rerun_over_a_malformed_manifest_removes_only_it(tmp_path, earlier):
+    out = tmp_path / "run"
+    out.mkdir()
+    for kept in (out / "mcnemar_vs_baseline.csv", tmp_path / "outside.csv"):
+        kept.write_text("kept")
+    (out / "manifest.json").write_bytes(earlier)
+    run_suite(tiny_config(suite=[{"strategy": "baseline"}], epochs=1), out)
+    assert "config_hash" in json.loads((out / "manifest.json").read_text())
+    for kept in (out / "mcnemar_vs_baseline.csv", tmp_path / "outside.csv"):
+        assert kept.read_text() == "kept"
 
 
 def test_suite_records_failure_without_aborting(tmp_path):
@@ -698,7 +727,7 @@ def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
             "--batch-size", "20"]
     assert main(argv) == 0
     assert (out / "checkpoints" / "max-val-bacc" / "params.bin").exists()
-    assert main([*argv, "--set", "lr_vae=1e300"]) == 1
+    assert main([*argv, "--set", "lr=1e300"]) == 1
     assert (out / "history.csv").read_text().splitlines() == ["epoch,train_loss,val_bacc,val_ece"]
     # the first run's model must not pass for this run's, nor its folders linger
     assert not (out / "checkpoints").exists()
@@ -709,7 +738,7 @@ def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
     assert main(argv) == 0
     note = out / "checkpoints" / "min-val-ece" / "notes.txt"
     note.write_text("mine")
-    assert main([*argv, "--set", "lr_vae=1e300"]) == 1
+    assert main([*argv, "--set", "lr=1e300"]) == 1
     assert sorted(p.relative_to(out) for p in (out / "checkpoints").rglob("*")) == [
         Path("checkpoints/min-val-ece"), Path("checkpoints/min-val-ece/notes.txt")]
     assert note.read_text() == "mine"
@@ -717,7 +746,7 @@ def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
 
 def test_cli_failed_train_prints_one_line_and_no_warning(tmp_path, capsys):
     argv = ["train", "--out", str(tmp_path / "train"), "--set", "sizes=[80,40,40]",
-            "--epochs", "1", "--batch-size", "20", "--set", "lr_vae=1e300"]
+            "--epochs", "1", "--batch-size", "20", "--set", "lr=1e300"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
@@ -760,6 +789,19 @@ def test_cli_refuses_a_config_that_names_an_output_directory(tmp_path, capsys, c
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: unknown config keys: ['out_dir']"]
     assert not out.exists() and not elsewhere.exists()
+
+
+@pytest.mark.parametrize("key", ["lr_vae", "lr_classifier"])
+def test_cli_refuses_retired_learning_rate_keys(tmp_path, capsys, key):
+    # one rate, lr, steps every parameter: the two it replaced are unknown keys
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 1e-3}))
+    out = tmp_path / "run"
+    for names_it in (["--config", str(config)], ["--set", f"{key}=0.001"]):
+        assert main(["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
+                     *names_it]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config keys: ['{key}']"]
+        assert not out.exists()
 
 
 def test_cli_suite_manifest_is_the_same_wherever_written(tmp_path, monkeypatch, capsys):
@@ -840,14 +882,18 @@ def write_manifest(run: Path, *reports: str) -> None:
 @pytest.fixture(scope="module")
 def stale_run(tmp_path_factory):
     """A baseline+mmce suite, then a baseline-only suite into the same
-    directory, which leaves the first run's mmce files behind."""
+    directory, which removes the first run's files; then two tables that the
+    manifest does not list, planted by hand."""
     run = tmp_path_factory.mktemp("stale") / "run"
     argv = ["suite", "--out", str(run), "--set", "sizes=[80,40,40]", "--epochs", "1",
             "--batch-size", "20", "--seeds", "0", "--set", "n_uncertainty=3"]
     assert main([*argv, "--set", 'suite=[{"strategy": "baseline"}, {"strategy": "mmce"}]']) == 0
     assert main([*argv, "--set", 'suite=[{"strategy": "baseline"}]']) == 0
-    assert (run / "mcnemar_vs_baseline.csv").exists()
-    assert (run / "reliability" / "mmce_adaptive.csv").exists()
+    assert not (run / "mcnemar_vs_baseline.csv").exists()
+    assert not (run / "reliability" / "mmce_adaptive.csv").exists()
+    for listed, planted in (("metrics_softmax.csv", "mcnemar_vs_baseline.csv"),
+                            ("reliability/baseline_adaptive.csv", "reliability/mmce_adaptive.csv")):
+        (run / planted).write_bytes((run / listed).read_bytes())
     return run
 
 
@@ -1018,7 +1064,7 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert "invalid choice: 'generate-data'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [[], ["--epochs", "2"], ["--strategy", "mmce", "--set", "lr_vae=0.01"]],
+@pytest.mark.parametrize("flags", [[], ["--epochs", "2"], ["--strategy", "mmce", "--set", "lr=0.01"]],
                          ids=["no_flags", "epochs", "strategy_and_set"])
 @pytest.mark.parametrize("content,problem", [
     (b"[1,2]", "a config must be a JSON object, got list"),
@@ -1062,7 +1108,7 @@ def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, probl
      "n_bins must be an integer, got 15.5"),
     # non-finite numbers
     (["train", "--set", "separation=NaN"], "separation must be a finite number, got nan"),
-    (["train", "--set", "lr_vae=Infinity"], "lr_vae must be a finite number, got inf"),
+    (["train", "--set", "lr=Infinity"], "lr must be a finite number, got inf"),
     (["grid", "--strategy", "mmce", "--set", 'grid={"kernel_width": [0.4, NaN]}'],
      "kernel_width must be a finite number, got nan"),
     # data values the generator refuses
@@ -1071,6 +1117,7 @@ def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, probl
     (["suite", "--seeds", "0", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
     # an empty list, which the config's own seeds must not fill in
     (["suite", "--seeds", ""], "--seeds expects comma-separated integers, got ''"),
+    (["train", "--set", "lr=0"], "lr must be > 0, got 0"),
 ])
 def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     out = tmp_path / "run"
