@@ -65,7 +65,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not sep:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         data[key] = _parse_value(raw)
-    for name in ("epochs", "batch_size", "data_seed", "noise_rate", "criterion"):
+    for name in ("epochs", "data_seed", "criterion"):
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
@@ -284,10 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override any config field; VALUE parsed as JSON")
     common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", type=int, dest="batch_size")
     common.add_argument("--seeds", help="comma-separated run seeds")
     common.add_argument("--data-seed", type=int, dest="data_seed")
-    common.add_argument("--noise-rate", type=float, dest="noise_rate")
     # each subcommand takes only the flags it reads, and no abbreviation of
     # one (train --seed is not --seeds)
     run = dict(parents=[common], allow_abbrev=False)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
-from ..losses import LossSpec, check_number, checked_int
+from ..losses import LossSpec, check_number
 
 CRITERIA = ("max-val-bacc", "min-val-ece")
 
@@ -28,6 +29,16 @@ def beats(criterion: str, value: float, incumbent: float) -> bool:
     """Whether value strictly improves on incumbent under the criterion. A tie
     keeps the incumbent, so the earliest epoch or first grid cell wins."""
     return value > incumbent if criterion == "max-val-bacc" else value < incumbent
+
+
+def checked_int(name: str, value) -> int:
+    """``value`` as an int: an integer, or a float with an integral value.
+    Bools, strings and fractions are a ValueError naming the field."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # Per-strategy suite defaults, selected by a three-seed sweep on the default

@@ -329,7 +329,7 @@ def _write_reports(config: ExperimentConfig, cells: list[CellResult], out: Path)
             continue
         records = cell.test_records[config.criterion]
         for scheme in ("equal_width", "adaptive"):
-            table = reliability_table(records, scheme, 15)
+            table = reliability_table(records, scheme)
             rows = [[r[col] for col in RELIABILITY_COLUMNS] for r in table.rows()]
             report(rel_dir / f"{strategy}_{scheme}.csv", RELIABILITY_COLUMNS, rows)
             svg = rel_dir / f"{strategy}_{scheme}.svg"

@@ -93,8 +93,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
     rng = np.random.default_rng((seed, 1))
     history = EpochHistory()
     n = x_train.shape[0]
-    votes = STRATEGIES[spec.strategy].weighted
-    track_threshold = spec.strategy == "avuc"
+    row = STRATEGIES[spec.strategy]
     threshold = 1.0           # the AvUC threshold after warm-up
 
     for epoch in range(config.epochs):
@@ -108,7 +107,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
                 xb, gb = x_train[idx], g_train[idx]
                 out = model.forward(xb, rng)
                 conf = None
-                if votes:
+                if row.weighted:
                     conf = epistemic_batch(model, xb, n=config.n_uncertainty,
                                            rng=np.random.default_rng((seed, 2, epoch, b)))
                 loss, batch = total_loss(xb, out, gb, spec, epistemic_conf=conf,
@@ -118,7 +117,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
                 backward(loss)
                 opt.step()
                 batch_losses.append(float(loss.value))
-                if track_threshold:
+                if row.thresholded:
                     epoch_probs.append(out.probs)
                     epoch_correct.append(batch.correct)
         except (NonFiniteGradient, NonFiniteActivation) as err:
@@ -126,7 +125,7 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
             history.failure = str(err)
             return history
 
-        if track_threshold:
+        if row.thresholded:
             threshold = _mean_accurate_entropy(np.concatenate(epoch_probs),
                                                np.concatenate(epoch_correct),
                                                fallback=threshold)
@@ -136,6 +135,6 @@ def train(config: ExperimentConfig, split: DataSplit, seed: int,
         entry = EpochEntry(epoch=epoch,
                            train_loss=float(np.mean(batch_losses)),
                            val_bacc=float(bacc) if bacc is not None else 0.0,
-                           val_ece=ece(val_preds, 15))
+                           val_ece=ece(val_preds))
         history.record(entry, model.params.copy_values)
     return history

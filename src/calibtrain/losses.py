@@ -13,6 +13,9 @@ training state, an argument of ``total_loss``. Coefficients that are exactly
 0.0 short-circuit their term, so the remaining loss (and its gradients)
 matches the reduced loss bitwise.
 
+Soft-ECE and MMCE are published baselines with fixed internals: ECE's
+``metrics.BINS`` bins under the 2-norm, and a Laplacian kernel of width 0.4.
+
 Confidence r_i is the probability of the arg-max class; the arg-max itself is
 treated as locally constant, so gradients flow through the selected entries
 only. Epistemic confidences C_i and the certain/uncertain partition are
@@ -44,9 +47,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .metrics import BINS
 from .model import ForwardResult, _in_order
 
 EPS = 1e-12   # floor for logs, denominators and fractional-power bases
+SOFT_ECE_NORM_ORDER = 2.0   # soft-ECE reduces its bin gaps under this norm
+MMCE_KERNEL_WIDTH = 0.4     # width of MMCE's Laplacian kernel
 
 
 class Strategy(NamedTuple):
@@ -54,11 +60,13 @@ class Strategy(NamedTuple):
     strategy, lambda_kl and lambda_c, and what it does to the baseline loss.
     It adds ``lambda_n * regularizer(batch, spec, avuc_threshold)``, or
     (``weighted``) weights L_C per sample by the batch's epistemic
-    confidences, which training must then supply."""
+    confidences, which training must then supply. A ``thresholded``
+    regularizer reads AvUC's threshold, which training must then track."""
 
     reads: tuple[str, ...] = ()
     regularizer: Callable | None = None
     weighted: bool = False
+    thresholded: bool = False
 
     @property
     def fields(self) -> set[str]:
@@ -72,23 +80,12 @@ STRATEGIES = {
                                   lambda b, s, t: paired_confidence_loss(b, s.margin)),
     "probability": Strategy(("lambda_n",), lambda b, s, t: probability_loss(b)),
     "confidence_weight": Strategy(("weight_floor",), weighted=True),
-    "avuc": Strategy(("lambda_n",), lambda b, s, t: avuc_loss(b, t)),
-    "soft_ece": Strategy(("lambda_n", "temperature", "n_bins", "norm_order"),
-                         lambda b, s, t: soft_ece_loss(b, s.n_bins, s.temperature,
-                                                       s.norm_order)),
-    "mmce": Strategy(("lambda_n", "kernel_width"),
-                     lambda b, s, t: mmce_loss(b, s.kernel_width)),
+    "avuc": Strategy(("lambda_n",), lambda b, s, t: avuc_loss(b, t), thresholded=True),
+    "soft_ece": Strategy(("lambda_n", "temperature"),
+                         lambda b, s, t: soft_ece_loss(b, BINS, s.temperature,
+                                                       SOFT_ECE_NORM_ORDER)),
+    "mmce": Strategy(("lambda_n",), lambda b, s, t: mmce_loss(b, MMCE_KERNEL_WIDTH)),
 }
-
-
-def checked_int(name: str, value) -> int:
-    """``value`` as an int: an integer, or a float with an integral value.
-    Bools, strings and fractions are a ValueError naming the field."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_number(name: str, value) -> None:
@@ -116,17 +113,12 @@ class LossSpec:
     margin: float = 0.6
     weight_floor: float = 1.0
     temperature: float = 0.1
-    n_bins: int = 15
-    norm_order: float = 2.0
-    kernel_width: float = 0.4
 
     def __post_init__(self):
         if not isinstance(self.strategy, str) or self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {list(STRATEGIES)}")
-        for name in ("lambda_kl", "lambda_c", "lambda_n", "margin", "weight_floor",
-                     "temperature", "norm_order", "kernel_width"):
+        for name in ("lambda_kl", "lambda_c", "lambda_n", "margin", "weight_floor", "temperature"):
             check_number(name, getattr(self, name))
-        self.n_bins = checked_int("n_bins", self.n_bins)
         for name in ("lambda_kl", "lambda_c", "lambda_n"):
             v = getattr(self, name)
             if v < 0:
@@ -137,12 +129,6 @@ class LossSpec:
             raise ValueError(f"weight_floor must be >= 0, got {self.weight_floor}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.n_bins < 2:
-            raise ValueError(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.norm_order < 1:
-            raise ValueError(f"norm_order must be >= 1, got {self.norm_order}")
-        if self.kernel_width <= 0:
-            raise ValueError(f"kernel_width must be > 0, got {self.kernel_width}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
@@ -174,7 +160,7 @@ class Loss:
     value: np.float64
     schedule: Callable[[], None]
     backward_done: bool = False
-    parents = ()   # walked by bench/spans.count_graph_nodes until ROADMAP item 1 retires it
+    parents = ()   # read by bench/spans.count_graph_nodes, and goes with that count
 
 
 _ZERO = Term(np.float64(0.0), lambda g: [])   # a degenerate batch: no gradient

@@ -3,7 +3,7 @@
 All functions here are non-differentiable reporting code. They take one
 ``Predictions`` value: arrays of the class probabilities, the predicted
 label, the true label, the confidence and the correctness of every record.
-Binning conventions, pinned once for every consumer:
+Binning conventions, pinned once for every consumer (M = ``BINS`` by default):
 
 * equal-width: bin m covers (m/M, (m+1)/M], first bin closed at 0, so the
   index of confidence r is ceil(r*M) - 1 clamped to [0, M-1];
@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+BINS = 15   # the bin count of every reported metric and table, and of soft-ECE
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +99,7 @@ def equal_width_index(r, m: int):
 
 
 def reliability_table(preds: Predictions, scheme: str = "equal_width",
-                      m: int = 15) -> BinTable:
+                      m: int = BINS) -> BinTable:
     """Bin the records under ``scheme`` into m bins (conventions above)."""
     if m < 1:
         raise ValueError(f"number of bins must be >= 1, got {m}")
@@ -139,15 +141,15 @@ def _ece_of(table: BinTable) -> float:
     return total
 
 
-def ece(preds: Predictions, m: int = 15) -> float:
+def ece(preds: Predictions, m: int = BINS) -> float:
     return _ece_of(reliability_table(preds, "equal_width", m))
 
 
-def aece(preds: Predictions, m: int = 15) -> float:
+def aece(preds: Predictions, m: int = BINS) -> float:
     return _ece_of(reliability_table(preds, "adaptive", m))
 
 
-def mce(preds: Predictions, m: int = 15) -> float:
+def mce(preds: Predictions, m: int = BINS) -> float:
     table = reliability_table(preds, "equal_width", m)
     worst = 0.0
     for b in table.bins:
@@ -156,7 +158,7 @@ def mce(preds: Predictions, m: int = 15) -> float:
     return worst
 
 
-def oe(preds: Predictions, m: int = 15) -> float:
+def oe(preds: Predictions, m: int = BINS) -> float:
     """Overconfidence error: confidence-weighted hinge on conf - acc per bin."""
     table = reliability_table(preds, "equal_width", m)
     total = 0.0

@@ -21,7 +21,9 @@ import numpy as np
 
 from calibtrain.autodiff import Param, ShapeMismatch
 from calibtrain.data import Subset
-from calibtrain.losses import EPS, BatchView, confidence_weights, make_batch_view
+from calibtrain.losses import (EPS, MMCE_KERNEL_WIDTH, SOFT_ECE_NORM_ORDER, BatchView,
+                               confidence_weights, make_batch_view)
+from calibtrain.metrics import BINS
 from calibtrain.model import LOGVAR_MAX, LOGVAR_MIN
 
 FD_STEP = 1e-5
@@ -945,8 +947,8 @@ def graph_regularizer(batch: GraphBatchView, spec, avuc_threshold) -> Node:
     if spec.strategy == "avuc":
         return graph_avuc_loss(batch, avuc_threshold)
     if spec.strategy == "soft_ece":
-        return graph_soft_ece_loss(batch, spec.n_bins, spec.temperature, spec.norm_order)
-    return graph_mmce_loss(batch, spec.kernel_width)
+        return graph_soft_ece_loss(batch, BINS, spec.temperature, SOFT_ECE_NORM_ORDER)
+    return graph_mmce_loss(batch, MMCE_KERNEL_WIDTH)
 
 
 def graph_total_loss(x, result: GraphForward, labels, spec, epistemic_conf=None,

@@ -16,16 +16,43 @@ train at batch 25.
 The first suite's manifest is pinned too: it names no path, so one digest
 holds wherever the run is written.
 Any later change that moves a number must re-pin here and say why. The pins
-hold for float64 numpy on x86-64; another BLAS may round matrix products
-differently.
+hold for float64 numpy on x86-64 with AVX-512: numpy's ``X86_V4`` loops and
+OpenBLAS's ``SkylakeX`` kernels. Other kernels round some products and
+transcendentals differently in the last bit, so a failing digest names the
+dispatch that the process ran with.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
+
+import numpy as np
 
 from calibtrain.harness.config import DEFAULT_SUITE, ExperimentConfig
 from calibtrain.harness.suite import run_suite
 from calibtrain.harness.training import AVUC_WARMUP_EPOCHS
+
+def dispatch() -> str:
+    """The numpy and OpenBLAS kernels this process runs, for a failing pin.
+    Both reads are guarded: the first is a private numpy name, and the second
+    needs numpy's bundled OpenBLAS."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+        v4 = __cpu_features__["X86_V4"]
+    except (ImportError, KeyError):
+        v4 = "unknown"
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return (f"pinned under numpy X86_V4 loops and the OpenBLAS SkylakeX core; "
+            f"this process has X86_V4 {v4} and the OpenBLAS {core} core")
+
 
 # all seven default strategies, one seed, two epochs, batch 25
 DIGEST_CONFIG = dict(sizes=(400, 200, 200), epochs=2, seeds=[0], data_seed=0)
@@ -261,9 +288,10 @@ def test_report_csvs_match_pins(tmp_path):
     assert run_suite(ExperimentConfig(**DIGEST_CONFIG), out).ok
     got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.rglob("*.csv"))}
-    assert got == PINS
+    assert got == PINS, dispatch()
     # the manifest names no path, so one pin holds wherever the run is written
-    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == MANIFEST_PIN
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == MANIFEST_PIN, \
+        dispatch()
 
 
 def test_reference_suite_matches_bench_digests(tmp_path):
@@ -272,14 +300,14 @@ def test_reference_suite_matches_bench_digests(tmp_path):
     got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.rglob("*"))
            if p.is_file() and p.name != "manifest.json"}
-    assert got == REFERENCE_PINS
+    assert got == REFERENCE_PINS, dispatch()
 
 
 def test_avuc_past_warmup_matches_pins(tmp_path):
     out = tmp_path / "run"
     assert run_suite(ExperimentConfig(**AVUC_CONFIG), out).ok
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in AVUC_PINS}
-    assert got == AVUC_PINS
+    assert got == AVUC_PINS, dispatch()
     (cell,) = json.loads((out / "manifest.json").read_text())["cells"]
     assert cell["selected_epoch"]["max-val-bacc"] >= AVUC_WARMUP_EPOCHS
 
@@ -289,4 +317,4 @@ def test_large_batch_kernels_match_pins(tmp_path):
     assert run_suite(ExperimentConfig(**LARGE_BATCH_CONFIG), out).ok
     got = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.rglob("*.csv"))}
-    assert got == LARGE_BATCH_PINS
+    assert got == LARGE_BATCH_PINS, dispatch()

@@ -100,15 +100,15 @@ def test_config_hash_changes_with_fields():
     dict(separation="2"),
     dict(lr=None),
     dict(loss={"strategy": ["avuc"]}),
-    dict(loss={"strategy": "soft_ece", "n_bins": 15.5}),
-    dict(loss={"strategy": "soft_ece", "n_bins": True}),
-    dict(loss={"strategy": "mmce", "kernel_width": "0.4"}),
+    dict(loss={"strategy": "soft_ece", "temperature": None}),
+    dict(loss={"strategy": "soft_ece", "temperature": True}),
+    dict(loss={"strategy": "paired_confidence", "margin": "0.6"}),
     dict(loss=["baseline"]),
     dict(suite=[{"strategy": "baseline"}, "mmce"]),
     dict(grid={"lambda_n": 0.5}),
     dict(grid={"lambda_n": [0.5, "1"]}),
     # non-finite loss numbers, a grid candidate included
-    dict(loss={"strategy": "mmce", "kernel_width": float("nan")}),
+    dict(loss={"strategy": "paired_confidence", "margin": float("nan")}),
     dict(suite=[{"strategy": "soft_ece", "temperature": float("inf")}]),
     dict(grid={"lambda_n": [0.5, float("nan")]}),
 ])
@@ -129,6 +129,11 @@ def test_config_rejects_non_finite_numbers(field, value):
     kw[field] = {"sizes": [value, 40, 40], "seeds": [value]}.get(field, value)
     with pytest.raises(ValueError, match=f"^{field} must be "):
         ExperimentConfig(**kw)
+
+
+def test_config_takes_an_integral_float_count():
+    cfg = tiny_config(epochs=2.0)
+    assert cfg.epochs == 2 and type(cfg.epochs) is int
 
 
 def test_config_rejects_unknown_keys():
@@ -186,8 +191,7 @@ def test_conf_weight_one_matches_baseline_history():
 
 
 # a valid value other than the default for every field a strategy row reads
-CHANGED = {"lambda_n": 0.5, "margin": 0.3, "weight_floor": 0.5, "temperature": 0.05,
-           "n_bins": 5, "norm_order": 1.0, "kernel_width": 0.2}
+CHANGED = {"lambda_n": 0.5, "margin": 0.3, "weight_floor": 0.5, "temperature": 0.05}
 
 
 @pytest.mark.parametrize("strategy, field", [
@@ -662,7 +666,7 @@ def test_suite_failed_report_write_leaves_no_manifest(tmp_path, monkeypatch):
 def test_cli_train_and_checkpoints(tmp_path, capsys):
     out = tmp_path / "train"
     argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]",
-            "--epochs", "2", "--batch-size", "20", "--seeds", "0",
+            "--epochs", "2", "--set", "batch_size=20", "--seeds", "0",
             "--strategy", "probability"]
     assert main(argv) == 0
     history = (out / "history.csv").read_text().splitlines()
@@ -714,7 +718,7 @@ def test_cli_suite_failure_exit_code(tmp_path, capsys):
 def test_cli_train_failed_run_writes_history_only(tmp_path, capsys):
     out = tmp_path / "train"
     argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "2",
-            "--batch-size", "20", "--set", f"loss={json.dumps(EXPLODING)}"]
+            "--set", "batch_size=20", "--set", f"loss={json.dumps(EXPLODING)}"]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("run failed: non-finite")
     assert (out / "history.csv").read_text().splitlines() == ["epoch,train_loss,val_bacc,val_ece"]
@@ -724,7 +728,7 @@ def test_cli_train_failed_run_writes_history_only(tmp_path, capsys):
 def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
     out = tmp_path / "train"
     argv = ["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
-            "--batch-size", "20"]
+            "--set", "batch_size=20"]
     assert main(argv) == 0
     assert (out / "checkpoints" / "max-val-bacc" / "params.bin").exists()
     assert main([*argv, "--set", "lr=1e300"]) == 1
@@ -746,7 +750,7 @@ def test_cli_failed_train_leaves_no_earlier_checkpoints(tmp_path, capsys):
 
 def test_cli_failed_train_prints_one_line_and_no_warning(tmp_path, capsys):
     argv = ["train", "--out", str(tmp_path / "train"), "--set", "sizes=[80,40,40]",
-            "--epochs", "1", "--batch-size", "20", "--set", "lr=1e300"]
+            "--epochs", "1", "--set", "batch_size=20", "--set", "lr=1e300"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
@@ -757,7 +761,7 @@ def test_cli_failed_train_prints_one_line_and_no_warning(tmp_path, capsys):
 def test_cli_train_runs_the_first_of_seeds(tmp_path):
     out = tmp_path / "train"
     assert main(["train", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
-                 "--batch-size", "20", "--seeds", "3,1"]) == 0
+                 "--set", "batch_size=20", "--seeds", "3,1"]) == 0
     for criterion in CRITERIA:
         manifest = json.loads((out / "checkpoints" / criterion / "manifest.json").read_text())
         assert manifest["seed"] == manifest["extra"]["seed"] == 3
@@ -767,7 +771,10 @@ def test_cli_train_runs_the_first_of_seeds(tmp_path):
     ["train", "--seed", "3"],                   # train runs the first of --seeds
     ["train", "--criterion", "min-val-ece"],    # train keeps a checkpoint per criterion
     ["suite", "--strategy", "mmce"],            # suite trains its suite list, not the loss
-], ids=["train-seed", "train-criterion", "suite-strategy"])
+    ["train", "--batch-size", "20"],            # --set batch_size=20 is the one route
+    ["grid", "--noise-rate", "0.2"],            # --set noise_rate=0.2 is the one route
+], ids=["train-seed", "train-criterion", "suite-strategy", "train-batch-size",
+        "grid-noise-rate"])
 def test_cli_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exit_info:
@@ -822,7 +829,7 @@ def test_cli_suite_manifest_is_the_same_wherever_written(tmp_path, monkeypatch, 
 def test_cli_grid_every_cell_failed(tmp_path, capsys):
     out = tmp_path / "grid"
     argv = ["grid", "--out", str(out), "--set", "sizes=[80,40,40]", "--epochs", "1",
-            "--batch-size", "20", "--set", f"loss={json.dumps(EXPLODING)}",
+            "--set", "batch_size=20", "--set", f"loss={json.dumps(EXPLODING)}",
             "--set", 'grid={"lambda_n": [1e308]}']
     assert main(argv) == 1
     assert capsys.readouterr().err == "grid search failed: every grid cell failed\n"
@@ -842,10 +849,10 @@ def test_cli_failed_grid_leaves_no_earlier_table(tmp_path, capsys):
 
 def test_cli_train_checks_loss_keys_its_strategy_does_not_read(tmp_path, capsys):
     out = tmp_path / "run"
-    argv = ["train", "--set", 'loss={"strategy":"baseline","n_bins":1}',
+    argv = ["train", "--set", 'loss={"strategy":"baseline","margin":2}',
             "--set", "sizes=[80,40,40]", "--epochs", "1", "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: n_bins must be >= 2, got 1"]
+    assert capsys.readouterr().err.splitlines() == ["error: margin must lie in [0, 1], got 2"]
     assert not out.exists()
 
 
@@ -886,7 +893,7 @@ def stale_run(tmp_path_factory):
     manifest does not list, planted by hand."""
     run = tmp_path_factory.mktemp("stale") / "run"
     argv = ["suite", "--out", str(run), "--set", "sizes=[80,40,40]", "--epochs", "1",
-            "--batch-size", "20", "--seeds", "0", "--set", "n_uncertainty=3"]
+            "--set", "batch_size=20", "--seeds", "0", "--set", "n_uncertainty=3"]
     assert main([*argv, "--set", 'suite=[{"strategy": "baseline"}, {"strategy": "mmce"}]']) == 0
     assert main([*argv, "--set", 'suite=[{"strategy": "baseline"}]']) == 0
     assert not (run / "mcnemar_vs_baseline.csv").exists()
@@ -1010,6 +1017,11 @@ def test_strategy_names_agree_across_readme_cli_and_default_suite():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("| strategy ", 1)[1].split("\n\n", 1)[0]
     in_readme = re.findall(r"^\s*\| `(\w+)`", table, flags=re.MULTILINE)
+    # the last column lists the fields a row reads, in the table's order
+    rows = [line.strip().strip("|").split("|") for line in table.splitlines()[2:]]
+    reads = {re.findall(r"`(\w+)`", cells[0])[0]: tuple(re.findall(r"`(\w+)`", cells[-1]))
+             for cells in rows}
+    assert reads == {name: row.reads for name, row in STRATEGIES.items()}
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for name, parser in sub.choices.items():
@@ -1104,13 +1116,13 @@ def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, probl
     (["train", "--set", 'loss={"strategy": ["avuc"]}'], "must name a strategy as a string"),
     (["suite", "--set", "seeds=[0.5, 1.5]"], "seeds must be an integer, got 0.5"),
     (["suite", "--set", "sizes=[400.7, 200, 200]"], "sizes must be an integer, got 400.7"),
-    (["train", "--set", 'loss={"strategy": "soft_ece", "n_bins": 15.5}'],
-     "n_bins must be an integer, got 15.5"),
+    (["train", "--set", 'loss={"strategy": "soft_ece", "temperature": "0.1"}'],
+     "temperature must be a finite number, got '0.1'"),
     # non-finite numbers
     (["train", "--set", "separation=NaN"], "separation must be a finite number, got nan"),
     (["train", "--set", "lr=Infinity"], "lr must be a finite number, got inf"),
-    (["grid", "--strategy", "mmce", "--set", 'grid={"kernel_width": [0.4, NaN]}'],
-     "kernel_width must be a finite number, got nan"),
+    (["grid", "--strategy", "paired_confidence", "--set", 'grid={"margin": [0.6, NaN]}'],
+     "margin must be a finite number, got nan"),
     # data values the generator refuses
     (["train", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
     (["grid", "--set", "noise_rate=0.7"], "noise_rate must lie in [0, 0.5)"),
@@ -1118,6 +1130,11 @@ def test_cli_config_file_not_an_object(tmp_path, capsys, command, content, probl
     # an empty list, which the config's own seeds must not fill in
     (["suite", "--seeds", ""], "--seeds expects comma-separated integers, got ''"),
     (["train", "--set", "lr=0"], "lr must be > 0, got 0"),
+    # keys that soft-ECE and MMCE do not take: their internals are fixed
+    (["train", "--set", 'loss={"strategy": "soft_ece", "n_bins": 15}'],
+     "unknown loss config keys: ['n_bins']"),
+    (["grid", "--strategy", "mmce", "--set", 'grid={"kernel_width": [0.2, 0.4]}'],
+     "grid key 'kernel_width' does not name a loss hyperparameter"),
 ])
 def test_cli_rejects_bad_seeds_before_training(tmp_path, capsys, argv, problem):
     out = tmp_path / "run"

@@ -83,9 +83,10 @@ def test_spec_accepts_tuned_operating_points():
     dict(strategy="paired_confidence", margin=1.5),
     dict(strategy="confidence_weight", weight_floor=-0.5),
     dict(strategy="soft_ece", temperature=0.0),
-    dict(strategy="soft_ece", n_bins=1),
-    dict(strategy="soft_ece", norm_order=0.5),
-    dict(strategy="mmce", kernel_width=0.0),
+    # retired keys, even at the values soft-ECE and MMCE fix them to
+    dict(strategy="soft_ece", n_bins=15),
+    dict(strategy="soft_ece", norm_order=2.0),
+    dict(strategy="mmce", kernel_width=0.4),
     dict(strategy="avuc", avuc_threshold=0.5),   # training state, not a field
 ])
 def test_spec_rejects_bad_values(kw):
@@ -96,8 +97,7 @@ def test_spec_rejects_bad_values(kw):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["lambda_kl", "lambda_c", "lambda_n", "margin",
-                                   "weight_floor", "temperature", "n_bins",
-                                   "norm_order", "kernel_width"])
+                                   "weight_floor", "temperature"])
 def test_spec_rejects_non_finite_numbers(field, value):
     # a NaN passes a range check written as `x <= 0`: refuse it by type
     with pytest.raises(ValueError, match=f"^{field} must be "):
@@ -105,17 +105,12 @@ def test_spec_rejects_non_finite_numbers(field, value):
 
 
 def test_from_dict_checks_and_keeps_unread_keys():
-    # baseline reads neither margin nor kernel_width: both are kept, and checked
+    # baseline reads neither margin nor temperature: both are kept, and checked
     spec = LossSpec.from_dict({"strategy": "baseline", "lambda_c": 2.0,
-                               "margin": 0.8, "kernel_width": 0.9})
-    assert (spec.lambda_c, spec.margin, spec.kernel_width) == (2.0, 0.8, 0.9)
+                               "margin": 0.8, "temperature": 0.9})
+    assert (spec.lambda_c, spec.margin, spec.temperature) == (2.0, 0.8, 0.9)
     with pytest.raises(ValueError, match=r"^margin must lie in \[0, 1\], got 2$"):
         LossSpec.from_dict({"strategy": "baseline", "margin": 2})
-
-
-def test_spec_takes_an_integral_float_count():
-    spec = LossSpec(strategy="soft_ece", n_bins=15.0)
-    assert spec.n_bins == 15 and type(spec.n_bins) is int
 
 
 def test_from_dict_rejects_unknown_and_missing():
